@@ -76,19 +76,6 @@ void RunWithAllocCounters(benchmark::State& state, Fn body) {
   }
 }
 
-/// Legacy path: a fresh RowBuilder + Encode() returning a new std::string
-/// per row (what the transaction hot path did before the arena codec).
-void BM_RowEncodeLegacyAllocs(benchmark::State& state) {
-  Schema s = BenchSchema();
-  RunWithAllocCounters(state, [&] {
-    RowBuilder b(&s);
-    b.SetInt64(0, 123456).SetInt32(1, 42).SetDouble(2, 3.14)
-        .SetString(3, "some medium length string value");
-    benchmark::DoNotOptimize(b.Encode());
-  });
-}
-BENCHMARK(BM_RowEncodeLegacyAllocs);
-
 /// Scratch-string path: hoisted builder + EncodeTo(std::string*) reusing
 /// capacity; steady state is allocation-free.
 void BM_RowEncodeToStringAllocs(benchmark::State& state) {
@@ -118,22 +105,9 @@ void BM_RowEncodeToArenaAllocs(benchmark::State& state) {
 }
 BENCHMARK(BM_RowEncodeToArenaAllocs);
 
-/// Delta codec: legacy MakeDelta (std::string result) vs MakeDeltaTo
-/// (arena slice), the UNDO-assembly hot path of UpdateApply.
-void BM_MakeDeltaLegacyAllocs(benchmark::State& state) {
-  Schema s = BenchSchema();
-  RowBuilder b(&s);
-  b.SetInt64(0, 123456).SetInt32(1, 42).SetDouble(2, 3.14)
-      .SetString(3, "some medium length string value");
-  std::string row = b.Encode().value();
-  RowView view(&s, row.data());
-  RunWithAllocCounters(state, [&] {
-    benchmark::DoNotOptimize(DeltaCodec::MakeDelta(s, view, {0, 1, 3}));
-  });
-}
-BENCHMARK(BM_MakeDeltaLegacyAllocs);
-
-void BM_MakeDeltaToArenaAllocs(benchmark::State& state) {
+/// Delta codec: MakeDelta into the arena, the UNDO-assembly hot path of
+/// UpdateApply; zero heap allocations.
+void BM_MakeDeltaArenaAllocs(benchmark::State& state) {
   Schema s = BenchSchema();
   RowBuilder b(&s);
   b.SetInt64(0, 123456).SetInt32(1, 42).SetDouble(2, 3.14)
@@ -143,12 +117,11 @@ void BM_MakeDeltaToArenaAllocs(benchmark::State& state) {
   const uint32_t cols[] = {0, 1, 3};
   Arena arena;
   RunWithAllocCounters(state, [&] {
-    benchmark::DoNotOptimize(DeltaCodec::MakeDeltaTo(s, view, cols, 3,
-                                                     &arena));
+    benchmark::DoNotOptimize(DeltaCodec::MakeDelta(s, view, cols, 3, &arena));
     arena.Reset();
   });
 }
-BENCHMARK(BM_MakeDeltaToArenaAllocs);
+BENCHMARK(BM_MakeDeltaArenaAllocs);
 
 void BM_FrozenBlockEncode(benchmark::State& state) {
   Schema s = BenchSchema();

@@ -59,8 +59,8 @@ echo "wrote $OUT"
 
 # --- Allocation smoke ------------------------------------------------------
 # Micro benches report heap_allocs_per_op / arena_bytes_per_op counters for
-# the legacy vs EncodeTo/arena codec paths and the visibility chain walk;
-# the TPC-C run prints the driver's "#ALLOC allocs_per_txn=..." line.
+# the EncodeTo/arena codec paths and the visibility chain walk; the TPC-C
+# run prints the driver's "#ALLOC allocs_per_txn=..." line.
 MICRO=$("$BUILD_DIR/bench/micro_coding" --benchmark_filter=Allocs \
           --benchmark_min_time=0.1 2>/dev/null
         "$BUILD_DIR/bench/micro_mvcc" --benchmark_filter=Allocs \
@@ -76,7 +76,7 @@ echo "$TPCC" | grep '^#ALLOC ' || true
 } | awk '
   BEGIN { n = 0; alloc = "" }
   # Console lines like:
-  #   BM_RowEncodeLegacyAllocs  63 ns  63 ns  100 arena_bytes_per_op=0 ...
+  #   BM_RowEncodeToArenaAllocs  63 ns  63 ns  100 arena_bytes_per_op=0 ...
   /^BM_[A-Za-z0-9_]*Allocs / {
     line = ""
     for (i = 2; i <= NF; ++i) {

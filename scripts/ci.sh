@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Tier-1 CI entry point: release build + full ctest suite, then (optionally)
-# the sanitizer smoke suites. Mirrors what .github/workflows/ci.yml runs so
-# a local `scripts/ci.sh` reproduces CI exactly. Usage:
+# Tier-1 CI entry point: release build + full ctest suite + bench smoke
+# gates, then (optionally) the sanitizer smoke suites. The tier1 job of
+# .github/workflows/ci.yml runs this script, so it is the one definition of
+# the tier-1 steps; the asan/tsan jobs run the scripts behind --asan/--tsan.
+# Usage:
 #   scripts/ci.sh              # tier-1: configure, build, ctest
 #   scripts/ci.sh --asan       # tier-1 + ASan/UBSan suite
 #   scripts/ci.sh --tsan       # tier-1 + TSan suite

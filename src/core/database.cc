@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 
+#include "common/arena.h"
 #include "common/profiler.h"
 #include "txn/twin_table.h"
 #include "wal/recovery.h"
@@ -114,13 +115,18 @@ Status Database::Init() {
   deps_.lock_table = lock_table_.get();
   deps_.held_locks = &held_locks_;
 
-  // GC reclaim hook: purge deleted tuples / stale index entries.
+  // GC reclaim hook: purge deleted tuples / stale index entries. GC runs
+  // without a transaction, so it reads rows into its own scratch arena:
+  // one per GC thread (slots are collected concurrently), reset per record.
   txn_mgr_->set_reclaim_hook([this](const UndoRecord& rec) {
+    static thread_local Arena gc_arena;
     Table* table = TableById(rec.relation);
     if (table != nullptr) {
+      gc_arena.Reset();
       OpContext ctx;
       ctx.synchronous = true;
       ctx.count_accesses = false;
+      ctx.arena = &gc_arena;
       table->OnUndoReclaimed(&ctx, rec);
     }
   });
@@ -253,12 +259,16 @@ Status Database::RunRecovery(uint64_t watermark_gsn, uint64_t checkpoint_ts) {
   recovery_info_.committed_txns = result.commits.size();
   recovery_info_.skipped_uncommitted = result.skipped_uncommitted;
 
+  // Replay runs without a transaction: one scratch arena, reset per record.
+  Arena replay_arena;
   OpContext ctx;
   ctx.synchronous = true;
   ctx.count_accesses = false;
+  ctx.arena = &replay_arena;
 
   Status st = WalRecovery::Replay(
       result, [&](const WalRecord& rec, Timestamp) -> Status {
+        replay_arena.Reset();
         RelationId rel = 0;
         RowId rid = 0;
         Slice body;

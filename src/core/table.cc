@@ -15,61 +15,92 @@ namespace phoebe {
 
 namespace {
 
-void EncodeOrderedInt64(std::string* out, int64_t v) {
-  // Flip the sign bit so two's-complement order matches memcmp order.
-  uint64_t u = static_cast<uint64_t>(v) ^ (1ull << 63);
-  char buf[8];
-  EncodeBigEndian64(buf, u);
-  out->append(buf, 8);
-}
+/// One index-key column value: an integer (int32/int64) or a string.
+struct KeyPart {
+  int64_t i64 = 0;
+  Slice str;
+};
 
-char* EncodeOrderedInt64Raw(char* dst, int64_t v) {
-  EncodeBigEndian64(dst, static_cast<uint64_t>(v) ^ (1ull << 63));
-  return dst + 8;
-}
-
-/// Arena flavor of EncodeKeyValuesTo for the zero-allocation point-lookup
-/// path: exact size is computed up front, so no shrink slack remains.
-Result<Slice> EncodeKeyValuesToArena(const Schema& schema,
-                                     const std::vector<uint32_t>& cols,
-                                     const std::vector<Value>& values,
-                                     Arena* arena) {
-  if (cols.size() != values.size()) {
-    return Result<Slice>(Status::InvalidArgument("key value count mismatch"));
-  }
-  size_t need = 0;
-  for (size_t i = 0; i < cols.size(); ++i) {
-    switch (schema.column(cols[i]).type) {
-      case ColumnType::kInt32:
-      case ColumnType::kInt64: need += 8; break;
-      case ColumnType::kString: need += values[i].str_ref().size() + 1; break;
-      case ColumnType::kDouble:
-        return Result<Slice>(Status::NotSupported("double index keys"));
-    }
-  }
-  char* buf = arena->Allocate(need);
-  char* p = buf;
-  for (size_t i = 0; i < cols.size(); ++i) {
-    const Value& v = values[i];
-    switch (schema.column(cols[i]).type) {
+/// The one ordered-key writer (int32/int64: big-endian sign-flipped;
+/// string: bytes + 0x00 terminator). `part(k)` yields the value of key
+/// column cols[k]. With dst == nullptr it only validates the column types
+/// and returns the exact encoded size, so every sink allocates once.
+template <typename PartFn>
+Result<size_t> WriteOrderedKey(const Schema& schema, const uint32_t* cols,
+                               size_t n, const PartFn& part, char* dst) {
+  size_t len = 0;
+  for (size_t k = 0; k < n; ++k) {
+    switch (schema.column(cols[k]).type) {
       case ColumnType::kInt32:
       case ColumnType::kInt64:
-        p = EncodeOrderedInt64Raw(p, v.i64);
+        // Flip the sign bit so two's-complement order matches memcmp order.
+        if (dst != nullptr) {
+          EncodeBigEndian64(dst + len,
+                            static_cast<uint64_t>(part(k).i64) ^ (1ull << 63));
+        }
+        len += 8;
         break;
       case ColumnType::kString: {
-        Slice s = v.str_ref();
-        if (!s.empty()) {
-          memcpy(p, s.data(), s.size());
-          p += s.size();
+        Slice s = part(k).str;
+        if (dst != nullptr) {
+          memcpy(dst + len, s.data(), s.size());
+          dst[len + s.size()] = '\0';
         }
-        *p++ = '\0';
+        len += s.size() + 1;
         break;
       }
-      case ColumnType::kDouble: break;  // rejected above
+      case ColumnType::kDouble:
+        return Result<size_t>(Status::NotSupported("double index keys"));
     }
   }
-  return Result<Slice>(Slice(buf, need));
+  return Result<size_t>(len);
 }
+
+template <typename PartFn>
+Status OrderedKeyTo(const Schema& schema, const uint32_t* cols, size_t n,
+                    const PartFn& part, std::string* out) {
+  Result<size_t> len = WriteOrderedKey(schema, cols, n, part, nullptr);
+  if (!len.ok()) return len.status();
+  out->resize(len.value());
+  (void)WriteOrderedKey(schema, cols, n, part, out->data());
+  return Status::OK();
+}
+
+template <typename PartFn>
+Result<Slice> OrderedKeyTo(const Schema& schema, const uint32_t* cols,
+                           size_t n, const PartFn& part, Arena* arena) {
+  Result<size_t> len = WriteOrderedKey(schema, cols, n, part, nullptr);
+  if (!len.ok()) return Result<Slice>(len.status());
+  char* buf = arena->Allocate(len.value());
+  (void)WriteOrderedKey(schema, cols, n, part, buf);
+  return Result<Slice>(Slice(buf, len.value()));
+}
+
+/// Key parts from a list of values (a null value encodes as 0 / "").
+struct ValueParts {
+  const std::vector<Value>& values;
+  KeyPart operator()(size_t k) const {
+    return KeyPart{values[k].i64, values[k].str_ref()};
+  }
+};
+
+/// Key parts from an encoded row (a null column encodes as 0 / "").
+struct RowParts {
+  const Schema& schema;
+  const uint32_t* cols;
+  RowView row;
+  KeyPart operator()(size_t k) const {
+    uint32_t c = cols[k];
+    if (row.IsNull(c)) return KeyPart{};
+    switch (schema.column(c).type) {
+      case ColumnType::kInt32: return KeyPart{row.GetInt32(c), Slice()};
+      case ColumnType::kInt64: return KeyPart{row.GetInt64(c), Slice()};
+      case ColumnType::kString: return KeyPart{0, row.GetString(c)};
+      case ColumnType::kDouble: break;
+    }
+    return KeyPart{};
+  }
+};
 
 }  // namespace
 
@@ -138,79 +169,22 @@ int Table::FindIndex(const std::string& name) const {
 // Key encoding
 // ---------------------------------------------------------------------------
 
-Status Table::EncodeKeyValuesTo(const Schema& schema,
-                                const std::vector<uint32_t>& cols,
-                                const std::vector<Value>& values,
-                                std::string* out) {
-  out->clear();
+Result<Slice> Table::EncodeKeyValuesTo(const Schema& schema,
+                                       const std::vector<uint32_t>& cols,
+                                       const std::vector<Value>& values,
+                                       Arena* arena) {
   if (cols.size() != values.size()) {
-    return Status::InvalidArgument("key value count mismatch");
+    return Result<Slice>(Status::InvalidArgument("key value count mismatch"));
   }
-  for (size_t i = 0; i < cols.size(); ++i) {
-    const ColumnDef& def = schema.column(cols[i]);
-    const Value& v = values[i];
-    switch (def.type) {
-      case ColumnType::kInt32:
-      case ColumnType::kInt64:
-        EncodeOrderedInt64(out, v.i64);
-        break;
-      case ColumnType::kString: {
-        Slice s = v.str_ref();
-        if (!s.empty()) out->append(s.data(), s.size());
-        out->push_back('\0');
-        break;
-      }
-      case ColumnType::kDouble:
-        return Status::NotSupported("double index keys");
-    }
-  }
-  return Status::OK();
+  return OrderedKeyTo(schema, cols.data(), cols.size(), ValueParts{values},
+                      arena);
 }
 
-Status Table::EncodeKeyFromRowTo(const Schema& schema,
-                                 const std::vector<uint32_t>& cols,
-                                 RowView row, std::string* out) {
-  out->clear();
-  for (uint32_t c : cols) {
-    const ColumnDef& def = schema.column(c);
-    switch (def.type) {
-      case ColumnType::kInt32:
-        EncodeOrderedInt64(out, row.IsNull(c) ? 0 : row.GetInt32(c));
-        break;
-      case ColumnType::kInt64:
-        EncodeOrderedInt64(out, row.IsNull(c) ? 0 : row.GetInt64(c));
-        break;
-      case ColumnType::kString: {
-        if (!row.IsNull(c)) {
-          Slice s = row.GetString(c);
-          if (!s.empty()) out->append(s.data(), s.size());
-        }
-        out->push_back('\0');
-        break;
-      }
-      case ColumnType::kDouble:
-        return Status::NotSupported("double index keys");
-    }
-  }
-  return Status::OK();
-}
-
-Result<std::string> Table::EncodeKeyValues(const Schema& schema,
-                                           const std::vector<uint32_t>& cols,
-                                           const std::vector<Value>& values) {
-  std::string out;
-  Status st = EncodeKeyValuesTo(schema, cols, values, &out);
-  if (!st.ok()) return Result<std::string>(st);
-  return Result<std::string>(std::move(out));
-}
-
-Result<std::string> Table::EncodeKeyFromRow(const Schema& schema,
-                                            const std::vector<uint32_t>& cols,
-                                            RowView row) {
-  std::string out;
-  Status st = EncodeKeyFromRowTo(schema, cols, row, &out);
-  if (!st.ok()) return Result<std::string>(st);
-  return Result<std::string>(std::move(out));
+Result<Slice> Table::EncodeKeyFromRowTo(const Schema& schema,
+                                        const std::vector<uint32_t>& cols,
+                                        RowView row, Arena* arena) {
+  return OrderedKeyTo(schema, cols.data(), cols.size(),
+                      RowParts{schema, cols.data(), row}, arena);
 }
 
 std::string Table::PrefixSuccessor(const std::string& key) {
@@ -254,6 +228,15 @@ std::string IndexEntryKey(const IndexDef& idx, Slice user_key, RowId rid) {
     key.append(buf, 8);
   }
   return key;
+}
+
+/// True if the delta/update column set `cols` includes one of `idx`'s key
+/// columns.
+bool KeyTouched(const IndexDef& idx, const uint32_t* cols, size_t n) {
+  for (uint32_t c : idx.key_columns) {
+    if (std::find(cols, cols + n, c) != cols + n) return true;
+  }
+  return false;
 }
 }  // namespace
 
@@ -372,15 +355,15 @@ Status Table::Insert(OpContext* ctx, Transaction* txn, Slice row,
   PHOEBE_RETURN_IF_ERROR(InsertBase(ctx, txn, rid, row));
 
   // Index maintenance: synchronous sub-context (no yields after the apply).
-  // One scratch key reused across the probe loop (capacity persists).
   OpContext sync;
   sync.InitSyncViewOf(*ctx);
   RowView view(&schema_, row.data());
-  std::string key_scratch;
+  Arena* arena = ScratchOf(ctx, txn);
   for (auto& idx : indexes_) {
-    PHOEBE_RETURN_IF_ERROR(
-        EncodeKeyFromRowTo(schema_, idx->key_columns, view, &key_scratch));
-    PHOEBE_RETURN_IF_ERROR(IndexInsertEntry(&sync, *idx, key_scratch, rid));
+    Result<Slice> key =
+        EncodeKeyFromRowTo(schema_, idx->key_columns, view, arena);
+    if (!key.ok()) return key.status();
+    PHOEBE_RETURN_IF_ERROR(IndexInsertEntry(&sync, *idx, key.value(), rid));
   }
   txn->rows_written += 1;
   return Status::OK();
@@ -389,14 +372,6 @@ Status Table::Insert(OpContext* ctx, Transaction* txn, Slice row,
 // ---------------------------------------------------------------------------
 // Get
 // ---------------------------------------------------------------------------
-
-Status Table::Get(OpContext* ctx, Transaction* txn, RowId rid,
-                  std::string* row) {
-  Slice s;
-  PHOEBE_RETURN_IF_ERROR(GetRef(ctx, txn, rid, &s));
-  row->assign(s.data(), s.size());
-  return Status::OK();
-}
 
 Status Table::GetRef(OpContext* ctx, Transaction* txn, RowId rid,
                      Slice* row) {
@@ -491,8 +466,7 @@ Status Table::UpdateApply(OpContext* ctx, Transaction* txn, RowId rid,
         OpContext sync;
         sync.InitSyncViewOf(*ctx);
         RowId new_rid = 0;
-        std::string warmed;
-        Status st = WarmRow(&sync, txn, rid, &new_rid, &warmed);
+        Status st = WarmRow(&sync, txn, rid, &new_rid);
         if (st.IsNotFound()) return st;
         PHOEBE_RETURN_IF_ERROR(st);
         return UpdateApply(&sync, txn, new_rid, compute);
@@ -541,7 +515,7 @@ Status Table::UpdateApply(OpContext* ctx, Transaction* txn, RowId rid,
     }
 
     // Patch the encoded row directly instead of re-building every column
-    // through RowBuilder (byte-identical; see PatchRowTo).
+    // through RowBuilder.
     Result<Slice> new_row =
         PatchRowTo(schema_, old_view, sets.data(), sets.size(), arena);
     if (!new_row.ok()) return new_row.status();
@@ -554,7 +528,7 @@ Status Table::UpdateApply(OpContext* ctx, Transaction* txn, RowId rid,
 
     // UNDO: before-image delta of the touched columns (Section 6.2).
     Slice before_delta =
-        DeltaCodec::MakeDeltaTo(schema_, old_view, cols, ncols, arena);
+        DeltaCodec::MakeDelta(schema_, old_view, cols, ncols, arena);
     UndoRecord* prev = entry.head.load(std::memory_order_acquire);
     uint64_t prev_ets = 0;
     if (prev != nullptr && prev->IsLive(nullptr) && prev->rid == rid) {
@@ -575,7 +549,7 @@ Status Table::UpdateApply(OpContext* ctx, Transaction* txn, RowId rid,
     frame->dirty.store(true, std::memory_order_release);
     uint64_t gsn = deps_->wal->OnPageWrite(txn, frame);
     Slice after_delta =
-        DeltaCodec::MakeDeltaTo(schema_, new_view, cols, ncols, arena);
+        DeltaCodec::MakeDelta(schema_, new_view, cols, ncols, arena);
     deps_->wal->LogData(
         txn, WalRecordType::kUpdate, gsn,
         WalRecordCodec::DataPayloadTo(id_, rid, after_delta, arena));
@@ -585,23 +559,17 @@ Status Table::UpdateApply(OpContext* ctx, Transaction* txn, RowId rid,
     // Key-changing updates: swap the affected index entries (synchronous).
     OpContext sync;
     sync.InitSyncViewOf(*ctx);
-    std::string old_key;
-    std::string new_key;
     for (auto& idx : indexes_) {
-      bool touches = false;
-      for (uint32_t c : idx->key_columns) {
-        if (std::find(cols, cols + ncols, c) != cols + ncols) {
-          touches = true;
-          break;
-        }
-      }
-      if (!touches) continue;
+      if (!KeyTouched(*idx, cols, ncols)) continue;
+      Result<Slice> old_key =
+          EncodeKeyFromRowTo(schema_, idx->key_columns, old_view, arena);
+      if (!old_key.ok()) return old_key.status();
+      Result<Slice> new_key =
+          EncodeKeyFromRowTo(schema_, idx->key_columns, new_view, arena);
+      if (!new_key.ok()) return new_key.status();
+      if (old_key.value() == new_key.value()) continue;
       PHOEBE_RETURN_IF_ERROR(
-          EncodeKeyFromRowTo(schema_, idx->key_columns, old_view, &old_key));
-      PHOEBE_RETURN_IF_ERROR(
-          EncodeKeyFromRowTo(schema_, idx->key_columns, new_view, &new_key));
-      if (old_key == new_key) continue;
-      PHOEBE_RETURN_IF_ERROR(IndexInsertEntry(&sync, *idx, new_key, rid));
+          IndexInsertEntry(&sync, *idx, new_key.value(), rid));
     }
     txn->rows_written += 1;
     return Status::OK();
@@ -703,16 +671,17 @@ Status Table::DeleteFrozen(OpContext* ctx, Transaction* txn, RowId rid) {
   if (st.IsNotFound()) return st;
   PHOEBE_RETURN_IF_ERROR(st);
   frozen_->MarkDeleted(rid);
+  Arena* arena = ScratchOf(ctx, txn);
   uint64_t gsn = deps_->wal->WriterFor(txn->slot_id()).LoadGsn() + 1;
   deps_->wal->WriterFor(txn->slot_id()).RaiseGsn(gsn);
   deps_->wal->LogData(txn, WalRecordType::kDelete, gsn,
-                      WalRecordCodec::DataPayload(id_, rid, Slice()));
+                      WalRecordCodec::DataPayloadTo(id_, rid, Slice(), arena));
   OpContext sync;
   sync.InitSyncViewOf(*ctx);
   RowView view(&schema_, row.data());
   for (auto& idx : indexes_) {
-    Result<std::string> key =
-        EncodeKeyFromRow(schema_, idx->key_columns, view);
+    Result<Slice> key =
+        EncodeKeyFromRowTo(schema_, idx->key_columns, view, arena);
     if (!key.ok()) return key.status();
     PHOEBE_RETURN_IF_ERROR(IndexRemoveEntry(&sync, *idx, key.value(), rid));
   }
@@ -724,22 +693,15 @@ Status Table::DeleteFrozen(OpContext* ctx, Transaction* txn, RowId rid) {
 // Index access
 // ---------------------------------------------------------------------------
 
-Status Table::IndexGet(OpContext* ctx, Transaction* txn, size_t index_no,
-                       const std::vector<Value>& key_values, RowId* rid,
-                       std::string* row) {
-  Slice s;
-  PHOEBE_RETURN_IF_ERROR(IndexGetRef(ctx, txn, index_no, key_values, rid,
-                                     row != nullptr ? &s : nullptr));
-  if (row != nullptr) row->assign(s.data(), s.size());
-  return Status::OK();
-}
-
 Status Table::IndexGetRef(OpContext* ctx, Transaction* txn, size_t index_no,
                           const std::vector<Value>& key_values, RowId* rid,
                           Slice* row) {
+  if (index_no >= indexes_.size()) {
+    return Status::InvalidArgument("no such index");
+  }
   IndexDef& idx = *indexes_[index_no];
-  Result<Slice> key = EncodeKeyValuesToArena(schema_, idx.key_columns,
-                                             key_values, ScratchOf(ctx, txn));
+  Result<Slice> key = EncodeKeyValuesTo(schema_, idx.key_columns, key_values,
+                                        ScratchOf(ctx, txn));
   if (!key.ok()) return key.status();
   uint64_t value = 0;
   PHOEBE_RETURN_IF_ERROR(idx.tree->IndexLookup(ctx, key.value(), &value));
@@ -750,39 +712,33 @@ Status Table::IndexGetRef(OpContext* ctx, Transaction* txn, size_t index_no,
   return Status::OK();
 }
 
-Status Table::IndexScan(
-    OpContext* ctx, Transaction* txn, size_t index_no,
-    const std::vector<Value>& lo_values, const std::vector<Value>& hi_values,
-    const std::function<bool(RowId, const std::string&)>& cb) {
-  return IndexScanRef(ctx, txn, index_no, lo_values, hi_values,
-                      [&cb](RowId rid, Slice row) {
-                        return cb(rid, std::string(row.data(), row.size()));
-                      });
-}
-
 Status Table::IndexScanRef(OpContext* ctx, Transaction* txn, size_t index_no,
                            const std::vector<Value>& lo_values,
                            const std::vector<Value>& hi_values,
                            FunctionRef<bool(RowId, Slice)> cb) {
+  if (index_no >= indexes_.size()) {
+    return Status::InvalidArgument("no such index");
+  }
   IndexDef& idx = *indexes_[index_no];
-  std::vector<uint32_t> lo_cols(idx.key_columns.begin(),
-                                idx.key_columns.begin() + lo_values.size());
-  Result<std::string> lo = EncodeKeyValues(schema_, lo_cols, lo_values);
-  if (!lo.ok()) return lo.status();
+  if (lo_values.size() > idx.key_columns.size() ||
+      hi_values.size() > idx.key_columns.size()) {
+    return Status::InvalidArgument("more key values than index columns");
+  }
+  const uint32_t* cols = idx.key_columns.data();
+  std::string lo;
+  PHOEBE_RETURN_IF_ERROR(OrderedKeyTo(schema_, cols, lo_values.size(),
+                                      ValueParts{lo_values}, &lo));
   std::string hi;
   if (hi_values.empty()) {
-    hi = PrefixSuccessor(lo.value());
+    hi = PrefixSuccessor(lo);
   } else {
-    std::vector<uint32_t> hi_cols(idx.key_columns.begin(),
-                                  idx.key_columns.begin() + hi_values.size());
-    Result<std::string> h = EncodeKeyValues(schema_, hi_cols, hi_values);
-    if (!h.ok()) return h.status();
-    hi = h.value();
+    PHOEBE_RETURN_IF_ERROR(OrderedKeyTo(schema_, cols, hi_values.size(),
+                                        ValueParts{hi_values}, &hi));
   }
 
   std::vector<RowId> rids;
   PHOEBE_RETURN_IF_ERROR(idx.tree->IndexScan(
-      ctx, lo.value(), hi, [&rids](Slice, uint64_t v) {
+      ctx, lo, hi, [&rids](Slice, uint64_t v) {
         rids.push_back(v);
         return true;
       }));
@@ -796,9 +752,8 @@ Status Table::IndexScanRef(OpContext* ctx, Transaction* txn, size_t index_no,
   return Status::OK();
 }
 
-Status Table::ScanAllVisible(
-    OpContext* ctx, Transaction* txn,
-    const std::function<bool(RowId, const std::string&)>& cb) {
+Status Table::ScanAllVisible(OpContext* ctx, Transaction* txn,
+                             FunctionRef<bool(RowId, Slice)> cb) {
   // Walk hot/cold leaves collecting row ids, then read each with
   // visibility. Collect first to avoid callback re-entry under latches.
   // Live tree slots at or below the frozen watermark shadow stale frozen
@@ -807,9 +762,11 @@ Status Table::ScanAllVisible(
   std::unordered_set<RowId> shadowed;
   RowId watermark =
       frozen_ != nullptr ? frozen_->max_frozen_row_id() : 0;
+  Arena row_arena;
   OpContext scan_ctx;
   scan_ctx.InitSyncViewOf(*ctx);
   scan_ctx.count_accesses = false;
+  scan_ctx.arena = &row_arena;
   PHOEBE_RETURN_IF_ERROR(tree_->ForEachTableLeaf(
       &scan_ctx, [&](TableLeaf& leaf, BufferFrame*) {
         for (uint16_t s = 0; s < leaf.capacity(); ++s) {
@@ -834,8 +791,9 @@ Status Table::ScanAllVisible(
     if (stop) return Status::OK();
   }
   for (RowId rid : rids) {
-    std::string row;
-    Status st = Get(&scan_ctx, txn, rid, &row);
+    row_arena.Reset();
+    Slice row;
+    Status st = GetRef(&scan_ctx, txn, rid, &row);
     if (st.IsNotFound()) continue;
     PHOEBE_RETURN_IF_ERROR(st);
     if (!cb(rid, row)) break;
@@ -891,9 +849,11 @@ Status ScanColumnGeneric(Table* table, BTree* tree, FrozenStore* frozen,
 
   // Hot/cold tier: direct PAX minipage reads; per-tuple visibility only for
   // slots with pending version chains (Algorithm 1 fallback).
+  Arena row_arena;
   OpContext scan_ctx;
   scan_ctx.InitSyncViewOf(*ctx);
   scan_ctx.count_accesses = false;
+  scan_ctx.arena = &row_arena;
   std::vector<RowId> slow;
   Status scan_st = tree->ForEachTableLeaf(
       &scan_ctx, [&](TableLeaf& leaf, BufferFrame* frame) {
@@ -929,8 +889,9 @@ Status ScanColumnGeneric(Table* table, BTree* tree, FrozenStore* frozen,
   if (stop) return Status::OK();
 
   for (RowId rid : slow) {
-    std::string row;
-    Status st = table->Get(&scan_ctx, txn, rid, &row);
+    row_arena.Reset();
+    Slice row;
+    Status st = table->GetRef(&scan_ctx, txn, rid, &row);
     if (st.IsNotFound()) continue;
     PHOEBE_RETURN_IF_ERROR(st);
     RowView view(&schema, row.data());
@@ -983,6 +944,7 @@ Status Table::RollbackRecord(OpContext* ctx, Transaction* txn,
                              const UndoRecord* rec) {
   OpContext sync;
   sync.InitSyncViewOf(*ctx);
+  Arena* arena = ScratchOf(ctx, txn);
   LeafGuard g;
   PHOEBE_RETURN_IF_ERROR(tree_->FixLeaf(&sync, BTree::TableKey(rec->rid),
                                         LatchMode::kExclusive, &g));
@@ -995,46 +957,97 @@ Status Table::RollbackRecord(OpContext* ctx, Transaction* txn,
   if (twin == nullptr) return Status::Corruption("rollback: twin missing");
   auto& entry = twin->entry(slot);
 
-  std::string old_row_for_index;
+  Result<Slice> cur = leaf.ReadRowTo(slot, arena);
+  if (!cur.ok()) return cur.status();
+  RowView cur_view(&schema_, cur.value().data());
+  Status index_st;
   switch (rec->kind) {
-    case UndoKind::kInsert: {
-      PHOEBE_RETURN_IF_ERROR(leaf.ReadRow(slot, &old_row_for_index));
+    case UndoKind::kInsert:
       PHOEBE_RETURN_IF_ERROR(leaf.EraseRow(slot));
       break;
-    }
     case UndoKind::kUpdate: {
-      std::string cur;
-      PHOEBE_RETURN_IF_ERROR(leaf.ReadRow(slot, &cur));
-      Result<std::string> before =
-          DeltaCodec::ApplyDelta(schema_, cur, rec->delta());
+      Result<Slice> before =
+          DeltaCodec::ApplyDelta(schema_, cur.value(), rec->delta(), arena);
       if (!before.ok()) return before.status();
       PHOEBE_RETURN_IF_ERROR(
           leaf.UpdateRow(slot, RowView(&schema_, before.value().data())));
+      // Still under the latch, so no writer can re-claim the key between
+      // the decision and the removal.
+      index_st =
+          RollbackIndexEntries(&sync, rec, cur_view, before.value(), arena);
       break;
     }
-    case UndoKind::kDelete: {
+    case UndoKind::kDelete:
       PHOEBE_RETURN_IF_ERROR(leaf.SetDeleted(slot, false));
       break;
-    }
   }
   // Unlink: an active transaction's record is always the chain head.
   entry.head.store(rec->next.load(std::memory_order_acquire),
                    std::memory_order_release);
   g.frame()->dirty.store(true, std::memory_order_release);
-  uint64_t gsn = deps_->wal->OnPageWrite(txn, g.frame());
-  (void)gsn;
+  (void)deps_->wal->OnPageWrite(txn, g.frame());
   g.Release();
 
   if (rec->kind == UndoKind::kInsert) {
     // Remove the index entries added by the aborted insert.
-    RowView view(&schema_, old_row_for_index.data());
     for (auto& idx : indexes_) {
-      Result<std::string> key =
-          EncodeKeyFromRow(schema_, idx->key_columns, view);
+      Result<Slice> key =
+          EncodeKeyFromRowTo(schema_, idx->key_columns, cur_view, arena);
       if (!key.ok()) return key.status();
       PHOEBE_RETURN_IF_ERROR(
           IndexRemoveEntry(&sync, *idx, key.value(), rec->rid));
     }
+  }
+  return index_st;
+}
+
+Status Table::RollbackIndexEntries(OpContext* ctx, const UndoRecord* rec,
+                                   RowView cur, Slice restored,
+                                   Arena* arena) {
+  // A version older than `rec` stays visible to some snapshot until GC may
+  // reclaim its record (commit ts below the oldest active snapshot); GC
+  // then drops that version's stale entry itself (OnUndoReclaimed).
+  const Timestamp horizon = deps_->txn_mgr->MinActiveStartTs();
+  auto older_version_has = [&](const IndexDef& idx, Slice key) {
+    Slice version = restored;
+    const UndoRecord* r = rec->next.load(std::memory_order_acquire);
+    while (r != nullptr) {
+      uint64_t stamp = 0;
+      if (!r->IsLive(&stamp) || r->relation != id_ || r->rid != rec->rid) {
+        return false;
+      }
+      const UndoKind kind = r->kind;
+      const uint64_t ets = r->ets.load(std::memory_order_acquire);
+      const UndoRecord* next = r->next.load(std::memory_order_acquire);
+      Slice delta = arena->Copy(r->delta());
+      if (!r->StampUnchanged(stamp)) return false;  // recycled mid-copy
+      if (ets != 0 && !IsXid(ets) && ets < horizon) return false;
+      if (kind == UndoKind::kInsert) return false;  // no older version
+      if (kind == UndoKind::kUpdate) {
+        Result<Slice> prev = DeltaCodec::ApplyDelta(schema_, version, delta,
+                                                    arena);
+        if (!prev.ok()) return true;  // undecodable: keep the entry
+        version = prev.value();
+      }
+      Result<Slice> k = EncodeKeyFromRowTo(
+          schema_, idx.key_columns, RowView(&schema_, version.data()), arena);
+      if (k.ok() && k.value() == key) return true;
+      r = next;
+    }
+    return false;
+  };
+
+  RowView restored_view(&schema_, restored.data());
+  for (auto& idx : indexes_) {
+    Result<Slice> key = EncodeKeyFromRowTo(schema_, idx->key_columns, cur,
+                                           arena);
+    if (!key.ok()) return key.status();
+    Result<Slice> kept = EncodeKeyFromRowTo(schema_, idx->key_columns,
+                                            restored_view, arena);
+    if (!kept.ok()) return kept.status();
+    if (key.value() == kept.value()) continue;
+    if (older_version_has(*idx, key.value())) continue;
+    PHOEBE_RETURN_IF_ERROR(IndexRemoveEntry(ctx, *idx, key.value(), rec->rid));
   }
   return Status::OK();
 }
@@ -1043,6 +1056,7 @@ void Table::OnUndoReclaimed(OpContext* ctx, const UndoRecord& rec) {
   OpContext sync;
   sync.InitSyncViewOf(*ctx);
   sync.count_accesses = false;
+  Arena* arena = ctx->arena;
   if (rec.kind == UndoKind::kDelete) {
     // Physically purge the tuple and its index entries (Section 7.3).
     LeafGuard g;
@@ -1053,15 +1067,15 @@ void Table::OnUndoReclaimed(OpContext* ctx, const UndoRecord& rec) {
     if (!leaf.InRange(rec.rid)) return;
     uint16_t slot = leaf.SlotOf(rec.rid);
     if (!leaf.IsLive(slot) || !leaf.IsDeleted(slot)) return;
-    std::string row;
-    if (!leaf.ReadRow(slot, &row).ok()) return;
+    Result<Slice> row = leaf.ReadRowTo(slot, arena);
+    if (!row.ok()) return;
     if (!leaf.EraseRow(slot).ok()) return;
     g.frame()->dirty.store(true, std::memory_order_release);
     g.Release();
-    RowView view(&schema_, row.data());
+    RowView view(&schema_, row.value().data());
     for (auto& idx : indexes_) {
-      Result<std::string> key =
-          EncodeKeyFromRow(schema_, idx->key_columns, view);
+      Result<Slice> key =
+          EncodeKeyFromRowTo(schema_, idx->key_columns, view, arena);
       if (key.ok()) {
         (void)IndexRemoveEntry(&sync, *idx, key.value(), rec.rid);
       }
@@ -1072,39 +1086,37 @@ void Table::OnUndoReclaimed(OpContext* ctx, const UndoRecord& rec) {
     Result<std::vector<uint32_t>> touched =
         DeltaCodec::TouchedColumns(schema_, rec.delta());
     if (!touched.ok()) return;
+    const std::vector<uint32_t>& cols = touched.value();
+    if (std::none_of(indexes_.begin(), indexes_.end(), [&cols](auto& idx) {
+          return KeyTouched(*idx, cols.data(), cols.size());
+        })) {
+      return;
+    }
+    // Reconstruct the before image from the current row + delta and drop
+    // its (now stale) entries.
+    Slice cur;
+    {
+      LeafGuard g;
+      Status st = tree_->FixLeaf(&sync, BTree::TableKey(rec.rid),
+                                 LatchMode::kShared, &g);
+      if (!st.ok()) return;
+      TableLeaf leaf(g.page(), &schema_, &layout_);
+      if (!leaf.InRange(rec.rid)) return;
+      Result<Slice> row = leaf.ReadRowTo(leaf.SlotOf(rec.rid), arena);
+      if (!row.ok()) return;
+      cur = row.value();
+    }
+    Result<Slice> before =
+        DeltaCodec::ApplyDelta(schema_, cur, rec.delta(), arena);
+    if (!before.ok()) return;
+    RowView cur_view(&schema_, cur.data());
+    RowView before_view(&schema_, before.value().data());
     for (auto& idx : indexes_) {
-      bool affects = false;
-      for (uint32_t c : idx->key_columns) {
-        if (std::find(touched.value().begin(), touched.value().end(), c) !=
-            touched.value().end()) {
-          affects = true;
-          break;
-        }
-      }
-      if (!affects) continue;
-      // Reconstruct the before image from the current row + delta and drop
-      // its (now stale) entry.
-      std::string cur;
-      {
-        LeafGuard g;
-        Status st = tree_->FixLeaf(&sync, BTree::TableKey(rec.rid),
-                                   LatchMode::kShared, &g);
-        if (!st.ok()) return;
-        TableLeaf leaf(g.page(), &schema_, &layout_);
-        if (!leaf.InRange(rec.rid)) return;
-        uint16_t slot = leaf.SlotOf(rec.rid);
-        if (!leaf.IsLive(slot)) return;
-        if (!leaf.ReadRow(slot, &cur).ok()) return;
-      }
-      Result<std::string> before =
-          DeltaCodec::ApplyDelta(schema_, cur, rec.delta());
-      if (!before.ok()) return;
-      RowView before_view(&schema_, before.value().data());
-      Result<std::string> old_key =
-          EncodeKeyFromRow(schema_, idx->key_columns, before_view);
-      RowView cur_view(&schema_, cur.data());
-      Result<std::string> cur_key =
-          EncodeKeyFromRow(schema_, idx->key_columns, cur_view);
+      if (!KeyTouched(*idx, cols.data(), cols.size())) continue;
+      Result<Slice> old_key =
+          EncodeKeyFromRowTo(schema_, idx->key_columns, before_view, arena);
+      Result<Slice> cur_key =
+          EncodeKeyFromRowTo(schema_, idx->key_columns, cur_view, arena);
       if (old_key.ok() && cur_key.ok() &&
           old_key.value() != cur_key.value()) {
         (void)IndexRemoveEntry(&sync, *idx, old_key.value(), rec.rid);
@@ -1125,10 +1137,12 @@ Result<int> Table::FreezePass(OpContext* ctx, int max_leaves) {
   const uint32_t epoch = deps_->pool->current_epoch();
   const auto& opts = *deps_->options;
 
+  Arena arena;
   while (frozen_count < max_leaves) {
     RowId start = frozen_->max_frozen_row_id() + 1;
     std::vector<RowId> rids;
     std::vector<std::string> rows;
+    arena.Reset();
     bool eligible = false;
     RowId range_end = 0;
     {
@@ -1152,11 +1166,10 @@ Result<int> Table::FreezePass(OpContext* ctx, int max_leaves) {
         range_end = leaf_end - 1;
         for (uint16_t s = 0; s < leaf.capacity(); ++s) {
           if (!leaf.IsLive(s) || leaf.IsDeleted(s)) continue;
-          std::string row;
-          st = leaf.ReadRow(s, &row);
-          if (!st.ok()) return Result<int>(st);
+          Result<Slice> row = leaf.ReadRowTo(s, &arena);
+          if (!row.ok()) return Result<int>(row.status());
           rids.push_back(leaf.first_row_id() + s);
-          rows.push_back(std::move(row));
+          rows.push_back(row.value().ToString());
         }
       }
     }
@@ -1170,7 +1183,7 @@ Result<int> Table::FreezePass(OpContext* ctx, int max_leaves) {
 }
 
 Status Table::WarmRow(OpContext* ctx, Transaction* txn, RowId frozen_rid,
-                      RowId* new_rid, std::string* row_out) {
+                      RowId* new_rid) {
   // Stale-block guard: if the row is live in the tree (a freeze raced a
   // writer), the tree copy is authoritative — just tombstone the shadowed
   // frozen copy and keep the existing rid.
@@ -1183,7 +1196,6 @@ Status Table::WarmRow(OpContext* ctx, Transaction* txn, RowId frozen_rid,
       g.Release();
       frozen_->MarkDeleted(frozen_rid);
       *new_rid = frozen_rid;
-      if (row_out != nullptr) row_out->clear();
       return Status::OK();
     }
   }
@@ -1193,15 +1205,17 @@ Status Table::WarmRow(OpContext* ctx, Transaction* txn, RowId frozen_rid,
   frozen_->MarkDeleted(frozen_rid);
   // Log the tombstone so recovery re-marks it (the tree copy of the row is
   // resurrected by replay and must end up deleted).
+  Arena* arena = ScratchOf(ctx, txn);
   WalWriter& w = deps_->wal->WriterFor(txn->slot_id());
   w.RaiseGsn(w.LoadGsn() + 1);
-  deps_->wal->LogData(txn, WalRecordType::kDelete, w.LoadGsn(),
-                      WalRecordCodec::DataPayload(id_, frozen_rid, Slice()));
+  deps_->wal->LogData(
+      txn, WalRecordType::kDelete, w.LoadGsn(),
+      WalRecordCodec::DataPayloadTo(id_, frozen_rid, Slice(), arena));
   // Replace index entries: old rid out, new rid in (done inside Insert).
   RowView view(&schema_, row.data());
   for (auto& idx : indexes_) {
-    Result<std::string> key =
-        EncodeKeyFromRow(schema_, idx->key_columns, view);
+    Result<Slice> key =
+        EncodeKeyFromRowTo(schema_, idx->key_columns, view, arena);
     if (!key.ok()) return key.status();
     PHOEBE_RETURN_IF_ERROR(IndexRemoveEntry(ctx, *idx, key.value(),
                                             frozen_rid));
@@ -1209,7 +1223,6 @@ Status Table::WarmRow(OpContext* ctx, Transaction* txn, RowId frozen_rid,
   RowId rid = 0;
   PHOEBE_RETURN_IF_ERROR(Insert(ctx, txn, row, &rid));
   *new_rid = rid;
-  if (row_out != nullptr) *row_out = std::move(row);
   return Status::OK();
 }
 
@@ -1220,7 +1233,7 @@ Status Table::WarmPass(OpContext* ctx, Transaction* txn, size_t max_rows) {
       frozen_->HotFrozenRows(deps_->options->warm_read_threshold, max_rows);
   for (RowId rid : hot) {
     RowId new_rid = 0;
-    Status st = WarmRow(&sync, txn, rid, &new_rid, nullptr);
+    Status st = WarmRow(&sync, txn, rid, &new_rid);
     if (st.IsNotFound()) continue;
     PHOEBE_RETURN_IF_ERROR(st);
   }
@@ -1253,7 +1266,8 @@ Status Table::ReplayInsert(OpContext* ctx, RowId rid, Slice row) {
   }
   RowView view(&schema_, row.data());
   for (auto& idx : indexes_) {
-    Result<std::string> key = EncodeKeyFromRow(schema_, idx->key_columns, view);
+    Result<Slice> key =
+        EncodeKeyFromRowTo(schema_, idx->key_columns, view, ctx->arena);
     if (!key.ok()) return key.status();
     std::string entry_key = IndexEntryKey(*idx, key.value(), rid);
     Status st = idx->tree->IndexInsert(ctx, entry_key, rid);
@@ -1287,6 +1301,7 @@ bool Table::ReplayRowLive(OpContext* ctx, RowId rid) {
 }
 
 Status Table::ReplayUpdate(OpContext* ctx, RowId rid, Slice after_delta) {
+  Arena* arena = ctx->arena;
   LeafGuard g;
   PHOEBE_RETURN_IF_ERROR(
       tree_->FixLeaf(ctx, BTree::TableKey(rid), LatchMode::kExclusive, &g));
@@ -1295,12 +1310,14 @@ Status Table::ReplayUpdate(OpContext* ctx, RowId rid, Slice after_delta) {
   if (!leaf.InRange(rid) || !leaf.IsLive(slot = leaf.SlotOf(rid))) {
     return Status::OK();  // row purged later in history; ignore
   }
-  std::string cur;
-  PHOEBE_RETURN_IF_ERROR(leaf.ReadRow(slot, &cur));
-  Result<std::string> next = DeltaCodec::ApplyDelta(schema_, cur, after_delta);
+  Result<Slice> cur = leaf.ReadRowTo(slot, arena);
+  if (!cur.ok()) return cur.status();
+  Result<Slice> next =
+      DeltaCodec::ApplyDelta(schema_, cur.value(), after_delta, arena);
   if (!next.ok()) return next.status();
-  PHOEBE_RETURN_IF_ERROR(
-      leaf.UpdateRow(slot, RowView(&schema_, next.value().data())));
+  RowView old_view(&schema_, cur.value().data());
+  RowView new_view(&schema_, next.value().data());
+  PHOEBE_RETURN_IF_ERROR(leaf.UpdateRow(slot, new_view));
   g.frame()->dirty.store(true, std::memory_order_release);
   g.Release();
 
@@ -1308,22 +1325,13 @@ Status Table::ReplayUpdate(OpContext* ctx, RowId rid, Slice after_delta) {
   Result<std::vector<uint32_t>> touched =
       DeltaCodec::TouchedColumns(schema_, after_delta);
   if (!touched.ok()) return touched.status();
-  RowView old_view(&schema_, cur.data());
-  RowView new_view(&schema_, next.value().data());
+  const std::vector<uint32_t>& cols = touched.value();
   for (auto& idx : indexes_) {
-    bool affects = false;
-    for (uint32_t c : idx->key_columns) {
-      if (std::find(touched.value().begin(), touched.value().end(), c) !=
-          touched.value().end()) {
-        affects = true;
-        break;
-      }
-    }
-    if (!affects) continue;
-    Result<std::string> old_key =
-        EncodeKeyFromRow(schema_, idx->key_columns, old_view);
-    Result<std::string> new_key =
-        EncodeKeyFromRow(schema_, idx->key_columns, new_view);
+    if (!KeyTouched(*idx, cols.data(), cols.size())) continue;
+    Result<Slice> old_key =
+        EncodeKeyFromRowTo(schema_, idx->key_columns, old_view, arena);
+    Result<Slice> new_key =
+        EncodeKeyFromRowTo(schema_, idx->key_columns, new_view, arena);
     if (!old_key.ok() || !new_key.ok()) continue;
     if (old_key.value() == new_key.value()) continue;
     (void)IndexRemoveEntry(ctx, *idx, old_key.value(), rid);
@@ -1341,18 +1349,18 @@ Status Table::ReplayDelete(OpContext* ctx, RowId rid) {
   TableLeaf leaf(g.page(), &schema_, &layout_);
   uint16_t slot;
   if (leaf.InRange(rid) && leaf.IsLive(slot = leaf.SlotOf(rid))) {
-    std::string row;
-    PHOEBE_RETURN_IF_ERROR(leaf.ReadRow(slot, &row));
+    Result<Slice> row = leaf.ReadRowTo(slot, ctx->arena);
+    if (!row.ok()) return row.status();
     PHOEBE_RETURN_IF_ERROR(leaf.SetDeleted(slot, true));
     g.frame()->dirty.store(true, std::memory_order_release);
     g.Release();
     // In forward operation the index entry outlives the delete until GC
     // purges it; replay has no GC, so drop it now — otherwise a replayed
     // re-insert of the same unique key can never claim the mapping.
-    RowView view(&schema_, row.data());
+    RowView view(&schema_, row.value().data());
     for (auto& idx : indexes_) {
-      Result<std::string> key =
-          EncodeKeyFromRow(schema_, idx->key_columns, view);
+      Result<Slice> key =
+          EncodeKeyFromRowTo(schema_, idx->key_columns, view, ctx->arena);
       if (!key.ok()) return key.status();
       PHOEBE_RETURN_IF_ERROR(IndexRemoveEntry(ctx, *idx, key.value(), rid));
     }

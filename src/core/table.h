@@ -106,46 +106,38 @@ class Table {
   /// Marks `rid` deleted (physical purge happens at GC).
   Status Delete(OpContext* ctx, Transaction* txn, RowId rid);
 
-  /// Reads the version of `rid` visible to `txn`.
-  Status Get(OpContext* ctx, Transaction* txn, RowId rid, std::string* row);
-
-  /// Allocation-free read: `*row` borrows the transaction's scratch arena
-  /// (or the base row materialized into it), valid until the slot's next
-  /// Begin resets the arena (DESIGN.md 4g). The hot-path variant of Get.
+  /// Reads the version of `rid` visible to `txn`. Allocation-free: `*row`
+  /// borrows the transaction's scratch arena (or the base row materialized
+  /// into it), valid until the slot's next Begin resets the arena
+  /// (DESIGN.md 4g).
   Status GetRef(OpContext* ctx, Transaction* txn, RowId rid, Slice* row);
 
-  /// Unique-index point lookup with visibility check.
-  Status IndexGet(OpContext* ctx, Transaction* txn, size_t index_no,
-                  const std::vector<Value>& key_values, RowId* rid,
-                  std::string* row);
-
-  /// Allocation-free point lookup: the key is encoded into the transaction
-  /// arena and `*row` borrows it like GetRef.
+  /// Unique-index point lookup with visibility check. The key is encoded
+  /// into the transaction arena and `*row` (optional) borrows it like
+  /// GetRef. InvalidArgument for a bad index number.
   Status IndexGetRef(OpContext* ctx, Transaction* txn, size_t index_no,
                      const std::vector<Value>& key_values, RowId* rid,
                      Slice* row);
 
   /// Ascending index range scan over [lo, hi) key prefixes; `cb` receives
   /// each *visible* row, returns false to stop. Pass empty hi_values to use
-  /// the successor of lo as the upper bound (prefix scan).
-  Status IndexScan(OpContext* ctx, Transaction* txn, size_t index_no,
-                   const std::vector<Value>& lo_values,
-                   const std::vector<Value>& hi_values,
-                   const std::function<bool(RowId, const std::string&)>& cb);
-
-  /// Allocation-free scan variant: row slices borrow the transaction arena
-  /// and stay valid until the slot's next Begin (they are NOT invalidated
-  /// between callback invocations, so callers may hold on to them for the
-  /// rest of the transaction).
+  /// the successor of lo as the upper bound (prefix scan). Row slices
+  /// borrow the transaction arena and stay valid until the slot's next
+  /// Begin (they are NOT invalidated between callback invocations, so
+  /// callers may hold on to them for the rest of the transaction).
+  /// InvalidArgument for a bad index number or more values than key
+  /// columns.
   Status IndexScanRef(OpContext* ctx, Transaction* txn, size_t index_no,
                       const std::vector<Value>& lo_values,
                       const std::vector<Value>& hi_values,
                       FunctionRef<bool(RowId, Slice)> cb);
 
   /// Full scan of all visible rows (hot/cold + frozen), row-id order within
-  /// each tier (frozen first). Maintenance/verification use.
+  /// each tier (frozen first). Maintenance/verification use. Rows are read
+  /// into a scan-local arena reset per row, so a row slice is valid only
+  /// during its callback and the scan does not grow the slot's arena.
   Status ScanAllVisible(OpContext* ctx, Transaction* txn,
-                        const std::function<bool(RowId, const std::string&)>& cb);
+                        FunctionRef<bool(RowId, Slice)> cb);
 
   /// Columnar projection scan (the HTAP path PAX + frozen blocks enable,
   /// Section 5.2): streams one integer column's visible values without
@@ -190,23 +182,15 @@ class Table {
   /// --- Key encoding ------------------------------------------------------------
 
   /// Order-preserving encoding of index key values (int32/int64: big-endian
-  /// sign-flipped; string: bytes + 0x00 terminator).
-  static Result<std::string> EncodeKeyValues(const Schema& schema,
-                                             const std::vector<uint32_t>& cols,
-                                             const std::vector<Value>& values);
-  static Result<std::string> EncodeKeyFromRow(const Schema& schema,
-                                              const std::vector<uint32_t>& cols,
-                                              RowView row);
-  /// Scratch-buffer variants: clear `out` and encode into it, reusing its
-  /// capacity. Callers hoist one std::string across secondary-index probe
-  /// loops so steady state performs zero key-encoding allocations.
-  static Status EncodeKeyValuesTo(const Schema& schema,
-                                  const std::vector<uint32_t>& cols,
-                                  const std::vector<Value>& values,
-                                  std::string* out);
-  static Status EncodeKeyFromRowTo(const Schema& schema,
-                                   const std::vector<uint32_t>& cols,
-                                   RowView row, std::string* out);
+  /// sign-flipped; string: bytes + 0x00 terminator; null: 0 / ""), from
+  /// values or from an encoded row, into `arena` (valid until it resets).
+  static Result<Slice> EncodeKeyValuesTo(const Schema& schema,
+                                         const std::vector<uint32_t>& cols,
+                                         const std::vector<Value>& values,
+                                         Arena* arena);
+  static Result<Slice> EncodeKeyFromRowTo(const Schema& schema,
+                                          const std::vector<uint32_t>& cols,
+                                          RowView row, Arena* arena);
   /// Smallest key strictly greater than every key with prefix `key`.
   static std::string PrefixSuccessor(const std::string& key);
 
@@ -246,13 +230,22 @@ class Table {
   Status DeleteFrozen(OpContext* ctx, Transaction* txn, RowId rid);
 
   /// Warm a single frozen row into hot storage (used by frozen updates /
-  /// deletes / WarmPass). Returns the new row id.
+  /// WarmPass). Returns the new row id.
   Status WarmRow(OpContext* ctx, Transaction* txn, RowId frozen_rid,
-                 RowId* new_rid, std::string* row_out);
+                 RowId* new_rid);
+
+  /// Rollback of a key-changing update: drops the index entries of the
+  /// aborted version `cur` whose key differs from the restored version
+  /// `restored`, unless an older version some active snapshot can still
+  /// see carries that key. Runs under the row's exclusive leaf latch.
+  Status RollbackIndexEntries(OpContext* ctx, const UndoRecord* rec,
+                              RowView cur, Slice restored, Arena* arena);
 
   /// Resolves the arena for this operation: an explicit `ctx->arena`
   /// override if set, else the transaction slot's scratch arena. Never
   /// cached into `ctx` (an OpContext may outlive the engine instance).
+  /// Callers without a transaction (GC, replay, maintenance) must set
+  /// `ctx->arena`.
   Arena* ScratchOf(OpContext* ctx, Transaction* txn);
 
   EngineDeps* deps_;

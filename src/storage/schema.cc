@@ -11,11 +11,14 @@ namespace phoebe {
 Schema::Schema(std::vector<ColumnDef> columns) : columns_(std::move(columns)) {
   fixed_offsets_.reserve(columns_.size());
   uint32_t off = 0;
+  size_t heap = 0;
   for (const auto& c : columns_) {
     fixed_offsets_.push_back(off);
     off += FixedWidth(c.type);
+    if (c.type == ColumnType::kString) heap += c.max_len;
   }
   fixed_size_ = off;
+  max_row_size_ = 2 + null_bitmap_bytes() + fixed_size_ + heap;
 }
 
 int Schema::ColumnIndex(const std::string& name) const {
@@ -23,14 +26,6 @@ int Schema::ColumnIndex(const std::string& name) const {
     if (columns_[i].name == name) return static_cast<int>(i);
   }
   return -1;
-}
-
-size_t Schema::max_row_size() const {
-  size_t sz = 2 + null_bitmap_bytes() + fixed_size_;
-  for (const auto& c : columns_) {
-    if (c.type == ColumnType::kString) sz += c.max_len;
-  }
-  return sz;
 }
 
 std::string Schema::Serialize() const {
@@ -126,16 +121,23 @@ Value RowView::GetValue(size_t col) const {
   return Value{};
 }
 
-Value RowView::GetValueRef(size_t col) const {
-  const ColumnDef& def = schema_->column(col);
-  if (IsNull(col)) return Value::Null(def.type);
-  if (def.type == ColumnType::kString) {
-    return Value::StringRef(GetString(col));
-  }
-  return GetValue(col);
+Status StringTooLong(const ColumnDef& def) {
+  return Status::InvalidArgument("string too long for column " + def.name);
 }
 
 // --- RowBuilder --------------------------------------------------------------
+
+/// WriteRow source over the builder's values; unset columns are null.
+struct RowBuilder::Source {
+  const RowBuilder* b;
+  bool IsNull(size_t i) const { return !b->set_[i] || b->values_[i].is_null; }
+  int32_t Int32(size_t i) const {
+    return static_cast<int32_t>(b->values_[i].i64);
+  }
+  int64_t Int64(size_t i) const { return b->values_[i].i64; }
+  double Double(size_t i) const { return b->values_[i].f64; }
+  Slice String(size_t i) const { return b->values_[i].str_ref(); }
+};
 
 RowBuilder::RowBuilder(const Schema* schema)
     : schema_(schema),
@@ -155,165 +157,36 @@ RowBuilder& RowBuilder::SetNull(size_t col) {
   return *this;
 }
 
-Result<std::string> RowBuilder::Encode() const {
-  const size_t ncols = schema_->num_columns();
-  for (size_t i = 0; i < ncols; ++i) {
-    if (!set_[i] && !schema_->column(i).nullable) {
-      return Result<std::string>(Status::InvalidArgument(
-          "column not set: " + schema_->column(i).name));
-    }
-  }
-  const size_t bitmap_bytes = schema_->null_bitmap_bytes();
-  const size_t fixed_base = 2 + bitmap_bytes;
-  std::string out(fixed_base + schema_->fixed_area_size(), '\0');
-
-  for (size_t i = 0; i < ncols; ++i) {
-    const ColumnDef& def = schema_->column(i);
-    const bool is_null = !set_[i] || values_[i].is_null;
-    if (is_null) {
-      out[2 + i / 8] = static_cast<char>(
-          static_cast<uint8_t>(out[2 + i / 8]) | (1u << (i % 8)));
-      continue;
-    }
-    const Value& v = values_[i];
-    char* slot = out.data() + fixed_base + schema_->fixed_offset(i);
-    switch (def.type) {
-      case ColumnType::kInt32: {
-        int32_t x = static_cast<int32_t>(v.i64);
-        memcpy(slot, &x, 4);
-        break;
-      }
-      case ColumnType::kInt64:
-        memcpy(slot, &v.i64, 8);
-        break;
-      case ColumnType::kDouble:
-        memcpy(slot, &v.f64, 8);
-        break;
-      case ColumnType::kString:
-        // Offsets are fixed up after the heap is appended.
-        break;
-    }
-  }
-  // String heap.
-  for (size_t i = 0; i < ncols; ++i) {
-    const ColumnDef& def = schema_->column(i);
-    if (def.type != ColumnType::kString) continue;
-    const bool is_null = !set_[i] || values_[i].is_null;
-    if (is_null) continue;
-    Slice s = values_[i].str_ref();
-    if (s.size() > def.max_len) {
-      return Result<std::string>(Status::InvalidArgument(
-          "string too long for column " + def.name));
-    }
-    uint16_t off = static_cast<uint16_t>(out.size());
-    uint16_t len = static_cast<uint16_t>(s.size());
-    char* slot = out.data() + fixed_base + schema_->fixed_offset(i);
-    memcpy(slot, &off, 2);
-    memcpy(slot + 2, &len, 2);
-    out.append(s.data(), s.size());
-  }
-  if (out.size() > 0xFFFF) {
-    return Result<std::string>(Status::InvalidArgument("row too large"));
-  }
-  uint16_t total = static_cast<uint16_t>(out.size());
-  memcpy(out.data(), &total, 2);
-  return Result<std::string>(std::move(out));
-}
-
-Status RowBuilder::EncodeRaw(char* out, size_t cap, size_t* len) const {
-  const size_t ncols = schema_->num_columns();
-  for (size_t i = 0; i < ncols; ++i) {
+Status RowBuilder::CheckRequired() const {
+  for (size_t i = 0; i < schema_->num_columns(); ++i) {
     if (!set_[i] && !schema_->column(i).nullable) {
       return Status::InvalidArgument("column not set: " +
                                      schema_->column(i).name);
     }
   }
-  const size_t bitmap_bytes = schema_->null_bitmap_bytes();
-  const size_t fixed_base = 2 + bitmap_bytes;
-  const size_t fixed_end = fixed_base + schema_->fixed_area_size();
-  if (cap < fixed_end) return Status::InvalidArgument("row too large");
-  memset(out, 0, fixed_end);
-
-  for (size_t i = 0; i < ncols; ++i) {
-    const ColumnDef& def = schema_->column(i);
-    const bool is_null = !set_[i] || values_[i].is_null;
-    if (is_null) {
-      out[2 + i / 8] = static_cast<char>(
-          static_cast<uint8_t>(out[2 + i / 8]) | (1u << (i % 8)));
-      continue;
-    }
-    const Value& v = values_[i];
-    char* slot = out + fixed_base + schema_->fixed_offset(i);
-    switch (def.type) {
-      case ColumnType::kInt32: {
-        int32_t x = static_cast<int32_t>(v.i64);
-        memcpy(slot, &x, 4);
-        break;
-      }
-      case ColumnType::kInt64:
-        memcpy(slot, &v.i64, 8);
-        break;
-      case ColumnType::kDouble:
-        memcpy(slot, &v.f64, 8);
-        break;
-      case ColumnType::kString:
-        // Offsets are fixed up after the heap is appended.
-        break;
-    }
-  }
-  // String heap.
-  size_t pos = fixed_end;
-  for (size_t i = 0; i < ncols; ++i) {
-    const ColumnDef& def = schema_->column(i);
-    if (def.type != ColumnType::kString) continue;
-    const bool is_null = !set_[i] || values_[i].is_null;
-    if (is_null) continue;
-    Slice s = values_[i].str_ref();
-    if (s.size() > def.max_len) {
-      return Status::InvalidArgument("string too long for column " + def.name);
-    }
-    if (pos + s.size() > cap) {
-      return Status::InvalidArgument("row too large");
-    }
-    uint16_t off = static_cast<uint16_t>(pos);
-    uint16_t slen = static_cast<uint16_t>(s.size());
-    char* slot = out + fixed_base + schema_->fixed_offset(i);
-    memcpy(slot, &off, 2);
-    memcpy(slot + 2, &slen, 2);
-    memcpy(out + pos, s.data(), s.size());
-    pos += s.size();
-  }
-  if (pos > 0xFFFF) return Status::InvalidArgument("row too large");
-  uint16_t total = static_cast<uint16_t>(pos);
-  memcpy(out, &total, 2);
-  *len = pos;
   return Status::OK();
 }
 
 Status RowBuilder::EncodeTo(std::string* out) const {
-  const size_t cap = schema_->max_row_size();
-  out->resize(cap);
+  PHOEBE_RETURN_IF_ERROR(CheckRequired());
+  out->resize(schema_->max_row_size());
   size_t len = 0;
-  Status st = EncodeRaw(out->data(), cap, &len);
-  if (!st.ok()) {
-    out->clear();
-    return st;
-  }
-  out->resize(len);
-  return Status::OK();
+  Status st = WriteRow(*schema_, Source{this}, out->data(), &len);
+  out->resize(st.ok() ? len : 0);
+  return st;
 }
 
 Result<Slice> RowBuilder::EncodeTo(Arena* arena) const {
-  const size_t cap = schema_->max_row_size();
-  char* buf = arena->Allocate(cap);
-  size_t len = 0;
-  Status st = EncodeRaw(buf, cap, &len);
-  if (!st.ok()) {
-    arena->ShrinkLast(buf, cap, 0);
-    return Result<Slice>(st);
-  }
-  arena->ShrinkLast(buf, cap, len);
-  return Result<Slice>(Slice(buf, len));
+  Status st = CheckRequired();
+  if (!st.ok()) return Result<Slice>(st);
+  return WriteRowTo(*schema_, Source{this}, arena);
+}
+
+Result<std::string> RowBuilder::Encode() const {
+  std::string out;
+  Status st = EncodeTo(&out);
+  if (!st.ok()) return Result<std::string>(st);
+  return Result<std::string>(std::move(out));
 }
 
 // --- Row patching ------------------------------------------------------------
@@ -322,7 +195,7 @@ namespace {
 
 /// One column's replacement value when patching an encoded row. Strings are
 /// borrowed (the source — a delta payload or an owned Value — must stay
-/// alive during BuildPatchedRow).
+/// alive while the patched row is written).
 struct ColOverride {
   bool set = false;
   bool null = false;
@@ -331,76 +204,27 @@ struct ColOverride {
   Slice str;
 };
 
-/// Builds the patched row directly from the old row's bytes plus per-column
-/// overrides, skipping RowBuilder. Byte-identical to re-encoding through
-/// RowBuilder: null columns get zeroed fixed slots and the string heap is
-/// rebuilt in column order.
-Status BuildPatchedRow(const Schema& schema, RowView old_row,
-                       const ColOverride* ov, char* out, size_t cap,
-                       size_t* out_len) {
-  const size_t ncols = schema.num_columns();
-  const size_t fixed_base = 2 + schema.null_bitmap_bytes();
-  const size_t fixed_end = fixed_base + schema.fixed_area_size();
-  if (cap < fixed_end) return Status::InvalidArgument("row too large");
-  memset(out, 0, fixed_end);
+/// WriteRow source: the old row's columns, except where overridden.
+struct PatchSource {
+  RowView old_row;
+  const ColOverride* ov;
 
-  for (size_t i = 0; i < ncols; ++i) {
-    const ColumnDef& def = schema.column(i);
-    const bool is_null = ov[i].set ? ov[i].null : old_row.IsNull(i);
-    if (is_null) {
-      out[2 + i / 8] = static_cast<char>(
-          static_cast<uint8_t>(out[2 + i / 8]) | (1u << (i % 8)));
-      continue;
-    }
-    char* slot = out + fixed_base + schema.fixed_offset(i);
-    switch (def.type) {
-      case ColumnType::kInt32: {
-        int32_t x = ov[i].set ? static_cast<int32_t>(ov[i].i64)
-                              : old_row.GetInt32(i);
-        memcpy(slot, &x, 4);
-        break;
-      }
-      case ColumnType::kInt64: {
-        int64_t x = ov[i].set ? ov[i].i64 : old_row.GetInt64(i);
-        memcpy(slot, &x, 8);
-        break;
-      }
-      case ColumnType::kDouble: {
-        double x = ov[i].set ? ov[i].f64 : old_row.GetDouble(i);
-        memcpy(slot, &x, 8);
-        break;
-      }
-      case ColumnType::kString:
-        break;  // heap pass below
-    }
+  bool IsNull(size_t i) const {
+    return ov[i].set ? ov[i].null : old_row.IsNull(i);
   }
-  size_t pos = fixed_end;
-  for (size_t i = 0; i < ncols; ++i) {
-    const ColumnDef& def = schema.column(i);
-    if (def.type != ColumnType::kString) continue;
-    const bool is_null = ov[i].set ? ov[i].null : old_row.IsNull(i);
-    if (is_null) continue;
-    Slice s = ov[i].set ? ov[i].str : old_row.GetString(i);
-    if (s.size() > def.max_len) {
-      return Status::InvalidArgument("string too long for column " + def.name);
-    }
-    if (pos + s.size() > cap) {
-      return Status::InvalidArgument("row too large");
-    }
-    uint16_t off = static_cast<uint16_t>(pos);
-    uint16_t slen = static_cast<uint16_t>(s.size());
-    char* slot = out + fixed_base + schema.fixed_offset(i);
-    memcpy(slot, &off, 2);
-    memcpy(slot + 2, &slen, 2);
-    memcpy(out + pos, s.data(), s.size());
-    pos += s.size();
+  int32_t Int32(size_t i) const {
+    return ov[i].set ? static_cast<int32_t>(ov[i].i64) : old_row.GetInt32(i);
   }
-  if (pos > 0xFFFF) return Status::InvalidArgument("row too large");
-  uint16_t total = static_cast<uint16_t>(pos);
-  memcpy(out, &total, 2);
-  *out_len = pos;
-  return Status::OK();
-}
+  int64_t Int64(size_t i) const {
+    return ov[i].set ? ov[i].i64 : old_row.GetInt64(i);
+  }
+  double Double(size_t i) const {
+    return ov[i].set ? ov[i].f64 : old_row.GetDouble(i);
+  }
+  Slice String(size_t i) const {
+    return ov[i].set ? ov[i].str : old_row.GetString(i);
+  }
+};
 
 ColOverride* NewOverrideArray(const Schema& schema, Arena* arena) {
   const size_t ncols = schema.num_columns();
@@ -408,6 +232,53 @@ ColOverride* NewOverrideArray(const Schema& schema, Arena* arena) {
       arena->Allocate(ncols * sizeof(ColOverride)));
   for (size_t i = 0; i < ncols; ++i) ov[i] = ColOverride{};
   return ov;
+}
+
+/// The one delta decoder: calls fn(col, value) for each column entry.
+template <typename Fn>
+Status ForEachDeltaColumn(const Schema& schema, Slice delta, Fn fn) {
+  uint32_t count = 0;
+  if (!GetVarint32(&delta, &count)) return Status::Corruption("delta: count");
+  for (uint32_t k = 0; k < count; ++k) {
+    uint32_t col = 0;
+    if (!GetVarint32(&delta, &col) || delta.size() < 1 ||
+        col >= schema.num_columns()) {
+      return Status::Corruption("delta: column");
+    }
+    ColOverride o;
+    o.set = true;
+    o.null = delta[0] != 0;
+    delta.remove_prefix(1);
+    if (!o.null) {
+      switch (schema.column(col).type) {
+        case ColumnType::kInt32: {
+          if (delta.size() < 4) return Status::Corruption("delta: i32");
+          int32_t v;
+          memcpy(&v, delta.data(), 4);
+          delta.remove_prefix(4);
+          o.i64 = v;
+          break;
+        }
+        case ColumnType::kInt64:
+          if (delta.size() < 8) return Status::Corruption("delta: i64");
+          memcpy(&o.i64, delta.data(), 8);
+          delta.remove_prefix(8);
+          break;
+        case ColumnType::kDouble:
+          if (delta.size() < 8) return Status::Corruption("delta: f64");
+          memcpy(&o.f64, delta.data(), 8);
+          delta.remove_prefix(8);
+          break;
+        case ColumnType::kString:
+          if (!GetLengthPrefixedSlice(&delta, &o.str)) {
+            return Status::Corruption("delta: str");
+          }
+          break;
+      }
+    }
+    fn(col, o);
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -425,186 +296,29 @@ Result<Slice> PatchRowTo(const Schema& schema, RowView old_row,
     ColOverride& o = ov[col];
     o.set = true;
     o.null = v.is_null;
-    if (v.is_null) continue;
-    switch (schema.column(col).type) {
-      case ColumnType::kInt32:
-      case ColumnType::kInt64:
-        o.i64 = v.i64;
-        break;
-      case ColumnType::kDouble:
-        o.f64 = v.f64;
-        break;
-      case ColumnType::kString:
-        o.str = v.str_ref();
-        break;
-    }
+    o.i64 = v.i64;
+    o.f64 = v.f64;
+    o.str = v.str_ref();
   }
-  const size_t cap = schema.max_row_size();
-  char* buf = arena->Allocate(cap);
-  size_t len = 0;
-  Status st = BuildPatchedRow(schema, old_row, ov, buf, cap, &len);
-  if (!st.ok()) {
-    arena->ShrinkLast(buf, cap, 0);
-    return Result<Slice>(st);
-  }
-  arena->ShrinkLast(buf, cap, len);
-  return Result<Slice>(Slice(buf, len));
+  return WriteRowTo(schema, PatchSource{old_row, ov}, arena);
 }
 
 // --- DeltaCodec --------------------------------------------------------------
 
-namespace {
-
-bool ColumnEquals(const Schema& schema, RowView a, RowView b, size_t col) {
-  const bool an = a.IsNull(col);
-  const bool bn = b.IsNull(col);
-  if (an != bn) return false;
-  if (an) return true;
-  switch (schema.column(col).type) {
-    case ColumnType::kInt32: return a.GetInt32(col) == b.GetInt32(col);
-    case ColumnType::kInt64: return a.GetInt64(col) == b.GetInt64(col);
-    case ColumnType::kDouble: return a.GetDouble(col) == b.GetDouble(col);
-    case ColumnType::kString: return a.GetString(col) == b.GetString(col);
-  }
-  return true;
-}
-
-void AppendColumnValue(const Schema& schema, RowView row, size_t col,
-                       std::string* out) {
-  PutVarint32(out, static_cast<uint32_t>(col));
-  const bool is_null = row.IsNull(col);
-  out->push_back(is_null ? 1 : 0);
-  if (is_null) return;
-  switch (schema.column(col).type) {
-    case ColumnType::kInt32: {
-      int32_t v = row.GetInt32(col);
-      out->append(reinterpret_cast<const char*>(&v), 4);
-      break;
-    }
-    case ColumnType::kInt64: {
-      int64_t v = row.GetInt64(col);
-      out->append(reinterpret_cast<const char*>(&v), 8);
-      break;
-    }
-    case ColumnType::kDouble: {
-      double v = row.GetDouble(col);
-      out->append(reinterpret_cast<const char*>(&v), 8);
-      break;
-    }
-    case ColumnType::kString:
-      PutLengthPrefixedSlice(out, row.GetString(col));
-      break;
-  }
-}
-
-}  // namespace
-
-std::string DeltaCodec::ComputeBeforeDelta(const Schema& schema,
-                                           RowView old_row, RowView new_row) {
-  std::vector<uint32_t> changed;
-  for (size_t i = 0; i < schema.num_columns(); ++i) {
-    if (!ColumnEquals(schema, old_row, new_row, i)) {
-      changed.push_back(static_cast<uint32_t>(i));
-    }
-  }
-  return MakeDelta(schema, old_row, changed);
-}
-
-std::string DeltaCodec::MakeDelta(const Schema& schema, RowView old_row,
-                                  const std::vector<uint32_t>& columns) {
-  std::string out;
-  PutVarint32(&out, static_cast<uint32_t>(columns.size()));
-  for (uint32_t col : columns) {
-    AppendColumnValue(schema, old_row, col, &out);
-  }
-  return out;
-}
-
-Result<std::string> DeltaCodec::ApplyDelta(const Schema& schema, Slice row,
-                                           Slice delta) {
-  RowView view(&schema, row.data());
-  RowBuilder builder(&schema);
-  for (size_t i = 0; i < schema.num_columns(); ++i) {
-    if (view.IsNull(i)) {
-      builder.SetNull(i);
-    } else {
-      builder.Set(i, view.GetValue(i));
-    }
-  }
-  uint32_t count = 0;
-  if (!GetVarint32(&delta, &count)) {
-    return Result<std::string>(Status::Corruption("delta: count"));
-  }
-  for (uint32_t k = 0; k < count; ++k) {
-    uint32_t col = 0;
-    if (!GetVarint32(&delta, &col) || delta.size() < 1 ||
-        col >= schema.num_columns()) {
-      return Result<std::string>(Status::Corruption("delta: column"));
-    }
-    bool is_null = delta[0] != 0;
-    delta.remove_prefix(1);
-    if (is_null) {
-      builder.SetNull(col);
-      continue;
-    }
-    switch (schema.column(col).type) {
-      case ColumnType::kInt32: {
-        if (delta.size() < 4) {
-          return Result<std::string>(Status::Corruption("delta: i32"));
-        }
-        int32_t v;
-        memcpy(&v, delta.data(), 4);
-        delta.remove_prefix(4);
-        builder.SetInt32(col, v);
-        break;
-      }
-      case ColumnType::kInt64: {
-        if (delta.size() < 8) {
-          return Result<std::string>(Status::Corruption("delta: i64"));
-        }
-        int64_t v;
-        memcpy(&v, delta.data(), 8);
-        delta.remove_prefix(8);
-        builder.SetInt64(col, v);
-        break;
-      }
-      case ColumnType::kDouble: {
-        if (delta.size() < 8) {
-          return Result<std::string>(Status::Corruption("delta: f64"));
-        }
-        double v;
-        memcpy(&v, delta.data(), 8);
-        delta.remove_prefix(8);
-        builder.SetDouble(col, v);
-        break;
-      }
-      case ColumnType::kString: {
-        Slice s;
-        if (!GetLengthPrefixedSlice(&delta, &s)) {
-          return Result<std::string>(Status::Corruption("delta: str"));
-        }
-        builder.SetString(col, s.ToString());
-        break;
-      }
-    }
-  }
-  return builder.Encode();
-}
-
-Slice DeltaCodec::MakeDeltaTo(const Schema& schema, RowView old_row,
-                              const uint32_t* columns, size_t ncols,
-                              Arena* arena) {
+Slice DeltaCodec::MakeDelta(const Schema& schema, RowView row,
+                            const uint32_t* columns, size_t ncols,
+                            Arena* arena) {
   // Worst-case bound with actual string lengths, trimmed after encoding.
   size_t cap = 5;
   for (size_t k = 0; k < ncols; ++k) {
     cap += 5 + 1;
     uint32_t col = columns[k];
-    if (old_row.IsNull(col)) continue;
+    if (row.IsNull(col)) continue;
     switch (schema.column(col).type) {
       case ColumnType::kInt32: cap += 4; break;
       case ColumnType::kInt64:
       case ColumnType::kDouble: cap += 8; break;
-      case ColumnType::kString: cap += 5 + old_row.GetString(col).size(); break;
+      case ColumnType::kString: cap += 5 + row.GetString(col).size(); break;
     }
   }
   char* buf = arena->Allocate(cap);
@@ -612,30 +326,30 @@ Slice DeltaCodec::MakeDeltaTo(const Schema& schema, RowView old_row,
   for (size_t k = 0; k < ncols; ++k) {
     uint32_t col = columns[k];
     p = EncodeVarint32(p, col);
-    const bool is_null = old_row.IsNull(col);
+    const bool is_null = row.IsNull(col);
     *p++ = is_null ? 1 : 0;
     if (is_null) continue;
     switch (schema.column(col).type) {
       case ColumnType::kInt32: {
-        int32_t v = old_row.GetInt32(col);
+        int32_t v = row.GetInt32(col);
         memcpy(p, &v, 4);
         p += 4;
         break;
       }
       case ColumnType::kInt64: {
-        int64_t v = old_row.GetInt64(col);
+        int64_t v = row.GetInt64(col);
         memcpy(p, &v, 8);
         p += 8;
         break;
       }
       case ColumnType::kDouble: {
-        double v = old_row.GetDouble(col);
+        double v = row.GetDouble(col);
         memcpy(p, &v, 8);
         p += 8;
         break;
       }
       case ColumnType::kString: {
-        Slice s = old_row.GetString(col);
+        Slice s = row.GetString(col);
         p = EncodeVarint32(p, static_cast<uint32_t>(s.size()));
         memcpy(p, s.data(), s.size());
         p += s.size();
@@ -648,130 +362,23 @@ Slice DeltaCodec::MakeDeltaTo(const Schema& schema, RowView old_row,
   return Slice(buf, len);
 }
 
-Slice DeltaCodec::ComputeBeforeDeltaTo(const Schema& schema, RowView old_row,
-                                       RowView new_row, Arena* arena) {
-  const size_t ncols = schema.num_columns();
-  uint32_t* changed =
-      reinterpret_cast<uint32_t*>(arena->Allocate(ncols * sizeof(uint32_t)));
-  size_t n = 0;
-  for (size_t i = 0; i < ncols; ++i) {
-    if (!ColumnEquals(schema, old_row, new_row, i)) {
-      changed[n++] = static_cast<uint32_t>(i);
-    }
-  }
-  return MakeDeltaTo(schema, old_row, changed, n, arena);
-}
-
-Result<Slice> DeltaCodec::ApplyDeltaTo(const Schema& schema, Slice row,
-                                       Slice delta, Arena* arena) {
-  RowView view(&schema, row.data());
+Result<Slice> DeltaCodec::ApplyDelta(const Schema& schema, Slice row,
+                                     Slice delta, Arena* arena) {
   ColOverride* ov = NewOverrideArray(schema, arena);
-  uint32_t count = 0;
-  if (!GetVarint32(&delta, &count)) {
-    return Result<Slice>(Status::Corruption("delta: count"));
-  }
-  for (uint32_t k = 0; k < count; ++k) {
-    uint32_t col = 0;
-    if (!GetVarint32(&delta, &col) || delta.size() < 1 ||
-        col >= schema.num_columns()) {
-      return Result<Slice>(Status::Corruption("delta: column"));
-    }
-    bool is_null = delta[0] != 0;
-    delta.remove_prefix(1);
-    ColOverride& o = ov[col];
-    o.set = true;
-    o.null = is_null;
-    if (is_null) continue;
-    switch (schema.column(col).type) {
-      case ColumnType::kInt32: {
-        if (delta.size() < 4) {
-          return Result<Slice>(Status::Corruption("delta: i32"));
-        }
-        int32_t v;
-        memcpy(&v, delta.data(), 4);
-        delta.remove_prefix(4);
-        o.i64 = v;
-        break;
-      }
-      case ColumnType::kInt64: {
-        if (delta.size() < 8) {
-          return Result<Slice>(Status::Corruption("delta: i64"));
-        }
-        memcpy(&o.i64, delta.data(), 8);
-        delta.remove_prefix(8);
-        break;
-      }
-      case ColumnType::kDouble: {
-        if (delta.size() < 8) {
-          return Result<Slice>(Status::Corruption("delta: f64"));
-        }
-        memcpy(&o.f64, delta.data(), 8);
-        delta.remove_prefix(8);
-        break;
-      }
-      case ColumnType::kString: {
-        Slice s;
-        if (!GetLengthPrefixedSlice(&delta, &s)) {
-          return Result<Slice>(Status::Corruption("delta: str"));
-        }
-        o.str = s;
-        break;
-      }
-    }
-  }
-  const size_t cap = schema.max_row_size();
-  char* buf = arena->Allocate(cap);
-  size_t len = 0;
-  Status st = BuildPatchedRow(schema, view, ov, buf, cap, &len);
-  if (!st.ok()) {
-    arena->ShrinkLast(buf, cap, 0);
-    return Result<Slice>(st);
-  }
-  arena->ShrinkLast(buf, cap, len);
-  return Result<Slice>(Slice(buf, len));
+  Status st = ForEachDeltaColumn(
+      schema, delta, [ov](uint32_t col, const ColOverride& o) { ov[col] = o; });
+  if (!st.ok()) return Result<Slice>(st);
+  return WriteRowTo(schema, PatchSource{RowView(&schema, row.data()), ov},
+                    arena);
 }
 
 Result<std::vector<uint32_t>> DeltaCodec::TouchedColumns(const Schema& schema,
                                                          Slice delta) {
   std::vector<uint32_t> cols;
-  uint32_t count = 0;
-  if (!GetVarint32(&delta, &count)) {
-    return Result<std::vector<uint32_t>>(Status::Corruption("delta: count"));
-  }
-  cols.reserve(count);
-  for (uint32_t k = 0; k < count; ++k) {
-    uint32_t col = 0;
-    if (!GetVarint32(&delta, &col) || delta.size() < 1 ||
-        col >= schema.num_columns()) {
-      return Result<std::vector<uint32_t>>(Status::Corruption("delta: col"));
-    }
-    bool is_null = delta[0] != 0;
-    delta.remove_prefix(1);
-    cols.push_back(col);
-    if (is_null) continue;
-    switch (schema.column(col).type) {
-      case ColumnType::kInt32:
-        if (delta.size() < 4) {
-          return Result<std::vector<uint32_t>>(Status::Corruption("delta"));
-        }
-        delta.remove_prefix(4);
-        break;
-      case ColumnType::kInt64:
-      case ColumnType::kDouble:
-        if (delta.size() < 8) {
-          return Result<std::vector<uint32_t>>(Status::Corruption("delta"));
-        }
-        delta.remove_prefix(8);
-        break;
-      case ColumnType::kString: {
-        Slice s;
-        if (!GetLengthPrefixedSlice(&delta, &s)) {
-          return Result<std::vector<uint32_t>>(Status::Corruption("delta"));
-        }
-        break;
-      }
-    }
-  }
+  Status st = ForEachDeltaColumn(
+      schema, delta,
+      [&cols](uint32_t col, const ColOverride&) { cols.push_back(col); });
+  if (!st.ok()) return Result<std::vector<uint32_t>>(st);
   return Result<std::vector<uint32_t>>(std::move(cols));
 }
 

@@ -2,16 +2,16 @@
 #define PHOEBE_STORAGE_SCHEMA_H_
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/arena.h"
 #include "common/slice.h"
 #include "common/status.h"
 
 namespace phoebe {
-
-class Arena;
 
 /// Column types supported by the storage engine. Strings are
 /// bounded-length (CHAR/VARCHAR(n)); timestamps/decimals map onto
@@ -55,7 +55,7 @@ class Schema {
   uint32_t fixed_offset(size_t i) const { return fixed_offsets_[i]; }
   size_t fixed_area_size() const { return fixed_size_; }
   /// Worst-case encoded row size (all strings at max_len).
-  size_t max_row_size() const;
+  size_t max_row_size() const { return max_row_size_; }
   static uint32_t FixedWidth(ColumnType t) {
     return t == ColumnType::kInt32 ? 4 : (t == ColumnType::kString ? 4 : 8);
   }
@@ -68,6 +68,7 @@ class Schema {
   std::vector<ColumnDef> columns_;
   std::vector<uint32_t> fixed_offsets_;
   size_t fixed_size_ = 0;
+  size_t max_row_size_ = 2;
 };
 
 /// A decoded column value used when building rows through the public API.
@@ -144,9 +145,6 @@ class RowView {
   double GetDouble(size_t col) const;
   Slice GetString(size_t col) const;
   Value GetValue(size_t col) const;
-  /// Like GetValue but string payloads borrow from the row buffer instead of
-  /// copying; valid only while the underlying row bytes are.
-  Value GetValueRef(size_t col) const;
 
  private:
   const char* FixedSlot(size_t col) const;
@@ -154,6 +152,82 @@ class RowView {
   const Schema* schema_ = nullptr;
   const char* data_ = nullptr;
 };
+
+/// WriteRow's error for a string longer than its column's max_len (out of
+/// line, keeping the message building off the encoding loop).
+Status StringTooLong(const ColumnDef& def);
+
+/// The one writer of the row format. `src` supplies column i's value:
+///   bool IsNull(size_t i); int32_t Int32(size_t i); int64_t Int64(size_t i);
+///   double Double(size_t i); Slice String(size_t i).
+/// A template so each source's reads inline into the loop: the PAX leaf
+/// read (TableLeaf::ReadRowTo) runs on every row access. Null columns set
+/// their bitmap bit and keep an all-zero fixed slot; strings fill the heap
+/// in column order. `out` must hold schema.max_row_size() bytes.
+template <typename Source>
+Status WriteRow(const Schema& schema, const Source& src, char* out,
+                size_t* len) {
+  const size_t ncols = schema.num_columns();
+  const size_t fixed_base = 2 + schema.null_bitmap_bytes();
+  char* const fixed = out + fixed_base;
+  size_t pos = fixed_base + schema.fixed_area_size();
+  memset(out, 0, pos);
+  for (size_t i = 0; i < ncols; ++i) {
+    if (src.IsNull(i)) {
+      out[2 + i / 8] = static_cast<char>(
+          static_cast<uint8_t>(out[2 + i / 8]) | (1u << (i % 8)));
+      continue;
+    }
+    const ColumnDef& def = schema.column(i);
+    char* slot = fixed + schema.fixed_offset(i);
+    switch (def.type) {
+      case ColumnType::kInt32: {
+        int32_t x = src.Int32(i);
+        memcpy(slot, &x, 4);
+        break;
+      }
+      case ColumnType::kInt64: {
+        int64_t x = src.Int64(i);
+        memcpy(slot, &x, 8);
+        break;
+      }
+      case ColumnType::kDouble: {
+        double x = src.Double(i);
+        memcpy(slot, &x, 8);
+        break;
+      }
+      case ColumnType::kString: {
+        Slice s = src.String(i);
+        if (s.size() > def.max_len) return StringTooLong(def);
+        uint16_t off = static_cast<uint16_t>(pos);
+        uint16_t slen = static_cast<uint16_t>(s.size());
+        memcpy(slot, &off, 2);
+        memcpy(slot + 2, &slen, 2);
+        memcpy(out + pos, s.data(), s.size());
+        pos += s.size();
+        break;
+      }
+    }
+  }
+  if (pos > 0xFFFF) return Status::InvalidArgument("row too large");
+  uint16_t total = static_cast<uint16_t>(pos);
+  memcpy(out, &total, 2);
+  *len = pos;
+  return Status::OK();
+}
+
+/// WriteRow into `arena`; the slice is valid until the arena resets.
+template <typename Source>
+Result<Slice> WriteRowTo(const Schema& schema, const Source& src,
+                         Arena* arena) {
+  const size_t cap = schema.max_row_size();
+  char* buf = arena->Allocate(cap);
+  size_t len = 0;
+  Status st = WriteRow(schema, src, buf, &len);
+  arena->ShrinkLast(buf, cap, st.ok() ? len : 0);
+  if (!st.ok()) return Result<Slice>(st);
+  return Result<Slice>(Slice(buf, len));
+}
 
 /// Builder producing encoded rows.
 class RowBuilder {
@@ -174,17 +248,16 @@ class RowBuilder {
   RowBuilder& SetNull(size_t col);
 
   /// Encodes the row. All non-nullable columns must have been set.
-  Result<std::string> Encode() const;
-
-  /// Allocation-reusing variants of Encode, byte-identical to it (verified
-  /// by codec_fuzz_test). EncodeTo(std::string*) reuses `out`'s capacity;
-  /// EncodeTo(Arena*) bump-allocates the row in the transaction arena and
-  /// returns a slice valid until the arena resets.
+  /// EncodeTo(std::string*) reuses `out`'s capacity; EncodeTo(Arena*)
+  /// bump-allocates the row in the arena and returns a slice valid until
+  /// the arena resets. Encode() is the convenience form of the former.
   Status EncodeTo(std::string* out) const;
   Result<Slice> EncodeTo(Arena* arena) const;
+  Result<std::string> Encode() const;
 
  private:
-  Status EncodeRaw(char* out, size_t cap, size_t* len) const;
+  struct Source;
+  Status CheckRequired() const;
 
   const Schema* schema_;
   std::vector<Value> values_;
@@ -192,44 +265,27 @@ class RowBuilder {
 };
 
 /// Patches an encoded row with explicit column updates, producing the new
-/// encoded row in `arena` without going through RowBuilder. Byte-identical
-/// to re-building the row via RowBuilder with the same final values. Used by
+/// encoded row in `arena` without going through RowBuilder. Used by
 /// Table::UpdateApply; `old_row`'s bytes must stay valid during the call.
 Result<Slice> PatchRowTo(const Schema& schema, RowView old_row,
                          const std::pair<uint32_t, Value>* sets, size_t nsets,
                          Arena* arena);
 
-/// Before-image delta codec for UNDO logs (Section 6.2): records only the
-/// columns that changed. Format:
+/// Column-delta codec for UNDO before-images (Section 6.2) and WAL
+/// after-images: records only the listed columns. Format:
 ///   [varint32 column_count] then per column: [varint32 col][u8 null]
 ///   [payload: fixed width or varint-length-prefixed string]
+/// Results live in `arena` until it resets.
 class DeltaCodec {
  public:
-  /// Computes the delta holding the *old* values of every column where old
-  /// and new rows differ. Empty string when no column changed.
-  static std::string ComputeBeforeDelta(const Schema& schema, RowView old_row,
-                                        RowView new_row);
+  /// Encodes `row`'s values of `columns`.
+  static Slice MakeDelta(const Schema& schema, RowView row,
+                         const uint32_t* columns, size_t ncols, Arena* arena);
 
-  /// Builds a delta holding the old values of an explicit column set.
-  static std::string MakeDelta(const Schema& schema, RowView old_row,
-                               const std::vector<uint32_t>& columns);
-
-  /// Applies a before-image delta onto `row` (an encoded row), producing the
-  /// earlier version.
-  static Result<std::string> ApplyDelta(const Schema& schema, Slice row,
-                                        Slice delta);
-
-  /// Arena variants, byte-identical to the std::string forms above
-  /// (verified by codec_fuzz_test); returned slices live until the arena
-  /// resets. ApplyDeltaTo patches the encoded row directly instead of
-  /// round-tripping every column through RowBuilder.
-  static Slice ComputeBeforeDeltaTo(const Schema& schema, RowView old_row,
-                                    RowView new_row, Arena* arena);
-  static Slice MakeDeltaTo(const Schema& schema, RowView old_row,
-                           const uint32_t* columns, size_t ncols,
-                           Arena* arena);
-  static Result<Slice> ApplyDeltaTo(const Schema& schema, Slice row,
-                                    Slice delta, Arena* arena);
+  /// Overwrites `row`'s columns with the delta's values (for a before-image
+  /// delta: produces the earlier version).
+  static Result<Slice> ApplyDelta(const Schema& schema, Slice row,
+                                  Slice delta, Arena* arena);
 
   /// Lists the columns touched by a delta (for index-maintenance checks).
   static Result<std::vector<uint32_t>> TouchedColumns(const Schema& schema,

@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "common/arena.h"
-
 namespace phoebe {
 
 TableLeafLayout TableLeafLayout::Compute(const Schema& schema) {
@@ -151,104 +149,36 @@ Status TableLeaf::EraseRow(uint16_t slot) {
   return Status::OK();
 }
 
-Status TableLeaf::ReadRow(uint16_t slot, std::string* out) const {
-  if (slot >= capacity() || !IsLive(slot)) {
-    return Status::NotFound("read: slot not live");
+/// WriteRow source over one slot's PAX minipages.
+struct TableLeaf::PaxSource {
+  const TableLeaf* leaf;
+  uint16_t slot;
+
+  bool IsNull(size_t i) const { return leaf->IsNullCol(slot, i); }
+  int32_t Int32(size_t i) const { return Fixed<int32_t>(i); }
+  int64_t Int64(size_t i) const { return Fixed<int64_t>(i); }
+  double Double(size_t i) const { return Fixed<double>(i); }
+  Slice String(size_t i) const {
+    size_t width = leaf->schema_->column(i).max_len;
+    return Slice(leaf->page_ + leaf->layout_->string_data_offset(i) +
+                     width * slot,
+                 Fixed<uint16_t>(i));
   }
-  RowBuilder builder(schema_);
-  const size_t ncols = schema_->num_columns();
-  for (size_t i = 0; i < ncols; ++i) {
-    const ColumnDef& c = schema_->column(i);
-    if (TestBit(layout_->null_bitmap_offset(i), slot)) {
-      builder.SetNull(i);
-      continue;
-    }
-    const char* base = page_ + layout_->column_offset(i);
-    switch (c.type) {
-      case ColumnType::kInt32: {
-        int32_t v;
-        memcpy(&v, base + 4 * slot, 4);
-        builder.SetInt32(i, v);
-        break;
-      }
-      case ColumnType::kInt64: {
-        int64_t v;
-        memcpy(&v, base + 8 * slot, 8);
-        builder.SetInt64(i, v);
-        break;
-      }
-      case ColumnType::kDouble: {
-        double v;
-        memcpy(&v, base + 8 * slot, 8);
-        builder.SetDouble(i, v);
-        break;
-      }
-      case ColumnType::kString: {
-        uint16_t len;
-        memcpy(&len, base + 2 * slot, 2);
-        const char* data = page_ + layout_->string_data_offset(i) +
-                           static_cast<size_t>(c.max_len) * slot;
-        builder.SetString(i, std::string(data, len));
-        break;
-      }
-    }
+  /// Column i's entry in its fixed-width array (a string's length).
+  template <typename T>
+  T Fixed(size_t i) const {
+    const char* base = leaf->page_ + leaf->layout_->column_offset(i);
+    T v;
+    memcpy(&v, base + sizeof(T) * slot, sizeof(T));
+    return v;
   }
-  Result<std::string> encoded = builder.Encode();
-  if (!encoded.ok()) return encoded.status();
-  *out = std::move(encoded.value());
-  return Status::OK();
-}
+};
 
 Result<Slice> TableLeaf::ReadRowTo(uint16_t slot, Arena* arena) const {
   if (slot >= capacity() || !IsLive(slot)) {
     return Result<Slice>(Status::NotFound("read: slot not live"));
   }
-  const size_t ncols = schema_->num_columns();
-  const size_t fixed_base = 2 + schema_->null_bitmap_bytes();
-  const size_t fixed_end = fixed_base + schema_->fixed_area_size();
-  const size_t cap = schema_->max_row_size();
-  char* out = arena->Allocate(cap);
-  memset(out, 0, fixed_end);
-  size_t pos = fixed_end;
-  for (size_t i = 0; i < ncols; ++i) {
-    const ColumnDef& c = schema_->column(i);
-    if (TestBit(layout_->null_bitmap_offset(i), slot)) {
-      out[2 + i / 8] = static_cast<char>(
-          static_cast<uint8_t>(out[2 + i / 8]) | (1u << (i % 8)));
-      continue;
-    }
-    const char* base = page_ + layout_->column_offset(i);
-    char* fixed_slot = out + fixed_base + schema_->fixed_offset(i);
-    switch (c.type) {
-      case ColumnType::kInt32:
-        memcpy(fixed_slot, base + 4 * slot, 4);
-        break;
-      case ColumnType::kInt64:
-      case ColumnType::kDouble:
-        memcpy(fixed_slot, base + 8 * slot, 8);
-        break;
-      case ColumnType::kString: {
-        uint16_t len;
-        memcpy(&len, base + 2 * slot, 2);
-        const char* data = page_ + layout_->string_data_offset(i) +
-                           static_cast<size_t>(c.max_len) * slot;
-        uint16_t off = static_cast<uint16_t>(pos);
-        memcpy(fixed_slot, &off, 2);
-        memcpy(fixed_slot + 2, &len, 2);
-        memcpy(out + pos, data, len);
-        pos += len;
-        break;
-      }
-    }
-  }
-  if (pos > 0xFFFF) {
-    arena->ShrinkLast(out, cap, 0);
-    return Result<Slice>(Status::InvalidArgument("row too large"));
-  }
-  uint16_t total = static_cast<uint16_t>(pos);
-  memcpy(out, &total, 2);
-  arena->ShrinkLast(out, cap, pos);
-  return Result<Slice>(Slice(out, pos));
+  return WriteRowTo(*schema_, PaxSource{this, slot}, arena);
 }
 
 }  // namespace phoebe

@@ -2,7 +2,6 @@
 #define PHOEBE_STORAGE_TABLE_LEAF_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/constants.h"
@@ -11,8 +10,6 @@
 #include "storage/schema.h"
 
 namespace phoebe {
-
-class Arena;
 
 /// Physical layout of a PAX table leaf for a given schema (Section 5.2: hot
 /// and cold pages use the PAX format). All values of a column are stored
@@ -106,13 +103,10 @@ class TableLeaf {
   /// twin table first).
   Status EraseRow(uint16_t slot);
 
-  /// Materializes the slot into the serialized row format.
-  Status ReadRow(uint16_t slot, std::string* out) const;
-
-  /// Allocation-free variant: encodes the slot directly from the PAX
-  /// minipages into `arena` (byte-identical to ReadRow), returning a slice
-  /// valid until the arena resets. The hot-path reads use this so the row
-  /// survives releasing the page latch without a heap copy.
+  /// Materializes the slot into the serialized row format in `arena`
+  /// (through WriteRow, straight from the PAX minipages), returning a slice
+  /// valid until the arena resets, so the row survives releasing the page
+  /// latch without a heap copy.
   Result<Slice> ReadRowTo(uint16_t slot, Arena* arena) const;
 
   /// Direct PAX minipage accessors (columnar fast path; callers check
@@ -154,6 +148,8 @@ class TableLeaf {
   }
 
   void WriteColumns(uint16_t slot, RowView row);
+
+  struct PaxSource;
 
   char* page_;
   const Schema* schema_;

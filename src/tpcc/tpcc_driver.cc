@@ -380,7 +380,7 @@ Status CheckConsistency(Workload* w) {
   std::map<int32_t, double> district_ytd_sum;
 
   Status st = t.warehouse->ScanAllVisible(
-      &ctx, txn, [&](RowId, const std::string& row) {
+      &ctx, txn, [&](RowId, Slice row) {
         RowView v(&t.warehouse->schema(), row.data());
         warehouse_ytd[v.GetInt32(Warehouse::kId)] =
             v.GetDouble(Warehouse::kYtd);
@@ -388,8 +388,7 @@ Status CheckConsistency(Workload* w) {
       });
   if (!st.ok()) goto done;
 
-  st = t.district->ScanAllVisible(&ctx, txn, [&](RowId,
-                                                 const std::string& row) {
+  st = t.district->ScanAllVisible(&ctx, txn, [&](RowId, Slice row) {
     RowView v(&t.district->schema(), row.data());
     auto key = std::make_pair(v.GetInt32(District::kWId),
                               v.GetInt32(District::kId));
@@ -400,7 +399,7 @@ Status CheckConsistency(Workload* w) {
   });
   if (!st.ok()) goto done;
 
-  st = t.order->ScanAllVisible(&ctx, txn, [&](RowId, const std::string& row) {
+  st = t.order->ScanAllVisible(&ctx, txn, [&](RowId, Slice row) {
     RowView v(&t.order->schema(), row.data());
     auto key =
         std::make_pair(v.GetInt32(Order::kWId), v.GetInt32(Order::kDId));
@@ -411,7 +410,7 @@ Status CheckConsistency(Workload* w) {
   if (!st.ok()) goto done;
 
   st = t.new_order->ScanAllVisible(
-      &ctx, txn, [&](RowId, const std::string& row) {
+      &ctx, txn, [&](RowId, Slice row) {
         RowView v(&t.new_order->schema(), row.data());
         auto key = std::make_pair(v.GetInt32(NewOrder::kWId),
                                   v.GetInt32(NewOrder::kDId));

@@ -82,7 +82,7 @@ Status RetrieveVisibleVersion(const Schema& schema, Xid xid,
       switch (cur.kind) {
         case UndoKind::kUpdate: {
           Result<Slice> prev =
-              DeltaCodec::ApplyDeltaTo(schema, tuple, cur.delta, arena);
+              DeltaCodec::ApplyDelta(schema, tuple, cur.delta, arena);
           if (!prev.ok()) return prev.status();
           tuple = prev.value();
           assembled = true;

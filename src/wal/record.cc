@@ -52,15 +52,6 @@ Status WalRecordCodec::DecodeNext(Slice* input, uint32_t writer_id,
   return Status::OK();
 }
 
-std::string WalRecordCodec::DataPayload(RelationId rel, RowId rid,
-                                        Slice body) {
-  std::string out;
-  PutVarint32(&out, rel);
-  PutVarint64(&out, rid);
-  out.append(body.data(), body.size());
-  return out;
-}
-
 Slice WalRecordCodec::DataPayloadTo(RelationId rel, RowId rid, Slice body,
                                     Arena* arena) {
   const size_t cap = 5 + 10 + body.size();  // varint32 + varint64 worst case

@@ -65,10 +65,8 @@ class WalRecordCodec {
   /// clean end, kCorruption on a torn/garbage frame.
   static Status DecodeNext(Slice* input, uint32_t writer_id, WalRecord* out);
 
-  /// Payload helpers.
-  static std::string DataPayload(RelationId rel, RowId rid, Slice body);
-  /// Allocation-free variant for the DML hot path: the payload lives in the
-  /// transaction arena and is consumed by LogData within the call.
+  /// Payload helpers. DataPayloadTo writes into `arena` (on the DML path
+  /// the transaction arena; LogData copies the payload within the call).
   static Slice DataPayloadTo(RelationId rel, RowId rid, Slice body,
                              Arena* arena);
   static Status ParseDataPayload(Slice payload, RelationId* rel, RowId* rid,

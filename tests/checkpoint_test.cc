@@ -61,7 +61,7 @@ void VerifyRows(Database* db, Table* table,
   Transaction* txn = db->Begin(db->aux_slot(0));
   std::map<int64_t, std::string> found;
   ASSERT_OK(table->ScanAllVisible(
-      &ctx, txn, [&](RowId, const std::string& row) {
+      &ctx, txn, [&](RowId, Slice row) {
         RowView v(&table->schema(), row.data());
         found[v.GetInt64(0)] = v.GetString(1).ToString();
         return true;
@@ -339,8 +339,8 @@ TEST(CheckpointTest, ReplayReclaimsUniqueKeyAfterDeleteReinsert) {
     Table* t = re->GetTable("kv").value();
     Transaction* reader = re->Begin(re->aux_slot(0));
     RowId rid = 0;
-    std::string row;
-    ASSERT_OK(t->IndexGet(&ctx, reader, 0, {Value::Int64(5)}, &rid, &row));
+    Slice row;
+    ASSERT_OK(t->IndexGetRef(&ctx, reader, 0, {Value::Int64(5)}, &rid, &row));
     EXPECT_EQ(rid, rid2);
     EXPECT_EQ(RowView(&t->schema(), row.data()).GetString(1), Slice("two"));
     ASSERT_OK(re->Commit(&ctx, reader));

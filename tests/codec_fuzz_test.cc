@@ -1,9 +1,9 @@
-// Randomized round-trip equivalence between the legacy string-returning
-// codec paths and the allocation-reusing EncodeTo/*To variants introduced
-// for the arena hot path. The arena variants must be byte-identical to the
-// legacy ones across arbitrary schemas, null patterns, and string lengths,
-// and arena reuse across many Reset cycles must never leak stale bytes
-// into fresh encodings (ASan poisoning turns stale reads into faults).
+// Randomized decode-based round trips over the one row codec (WriteRow and
+// its sources) and the delta codec, across arbitrary schemas, null patterns
+// and string lengths: every encoding must read back its input values,
+// re-encode to the same bytes, and survive a patch + before-delta undo.
+// Arena reuse across many Reset cycles must never leak stale bytes into
+// fresh encodings (ASan poisoning turns stale reads into faults).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -13,6 +13,7 @@
 #include "common/arena.h"
 #include "common/random.h"
 #include "storage/schema.h"
+#include "storage/table_leaf.h"
 
 namespace phoebe {
 namespace {
@@ -62,17 +63,37 @@ Value RandomValue(const ColumnDef& col, Random* rng) {
   return Value::Null(col.type);
 }
 
-std::string BuildRow(const Schema& s, const std::vector<Value>& vals) {
-  RowBuilder b(&s);
-  for (size_t i = 0; i < vals.size(); ++i) b.Set(i, vals[i]);
-  auto r = b.Encode();
-  EXPECT_TRUE(r.ok()) << r.status().ToString();
-  return r.value();
+/// Checks that `row` decodes to `vals` column by column, and that every
+/// null column's fixed slot is all zero bytes.
+void ExpectDecodesTo(const Schema& s, Slice row,
+                     const std::vector<Value>& vals) {
+  RowView v(&s, row.data());
+  ASSERT_EQ(v.size(), row.size());
+  const char* fixed = row.data() + 2 + s.null_bitmap_bytes();
+  for (size_t i = 0; i < vals.size(); ++i) {
+    SCOPED_TRACE("column " + std::to_string(i));
+    const ColumnType type = s.column(i).type;
+    ASSERT_EQ(v.IsNull(i), vals[i].is_null);
+    if (vals[i].is_null) {
+      const std::string zeros(Schema::FixedWidth(type), '\0');
+      EXPECT_EQ(Slice(fixed + s.fixed_offset(i), zeros.size()), Slice(zeros));
+      continue;
+    }
+    switch (type) {
+      case ColumnType::kInt32: EXPECT_EQ(v.GetInt32(i), vals[i].i64); break;
+      case ColumnType::kInt64: EXPECT_EQ(v.GetInt64(i), vals[i].i64); break;
+      case ColumnType::kDouble: EXPECT_EQ(v.GetDouble(i), vals[i].f64); break;
+      case ColumnType::kString:
+        EXPECT_EQ(v.GetString(i), vals[i].str_ref());
+        break;
+    }
+  }
 }
 
-/// One fuzz iteration: random schema + row, all encode variants, a random
-/// mutation, and all delta variants. `arena` is shared across iterations and
-/// reset by the caller to exercise block recycling.
+/// One fuzz iteration: random schema + row through every encode sink, a
+/// decode/re-encode round trip, the PAX leaf round trip, and a random patch
+/// undone by its before-image delta. `arena` is shared across iterations
+/// and reset by the caller to exercise block recycling.
 void FuzzOnce(Random* rng, Arena* arena) {
   Schema s = RandomSchema(rng);
   std::vector<Value> vals;
@@ -80,9 +101,8 @@ void FuzzOnce(Random* rng, Arena* arena) {
     vals.push_back(RandomValue(s.column(i), rng));
   }
 
-  // --- Encode() vs EncodeTo(std::string*) vs EncodeTo(Arena*). Mix owned
-  // and borrowed string values: SetStringRef must encode identically to
-  // SetString for the same bytes.
+  // --- Encode through every sink. Mix owned and borrowed string values:
+  // SetStringRef must encode identically to SetString for the same bytes.
   RowBuilder b(&s);
   for (size_t i = 0; i < vals.size(); ++i) {
     const Value& v = vals[i];
@@ -92,17 +112,37 @@ void FuzzOnce(Random* rng, Arena* arena) {
       b.Set(i, v);
     }
   }
-  auto legacy = b.Encode();
-  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
-  std::string to_string_out = "stale bytes from a previous run";
-  ASSERT_TRUE(b.EncodeTo(&to_string_out).ok());
-  EXPECT_EQ(legacy.value(), to_string_out);
+  std::string row = "stale bytes from a previous run";
+  ASSERT_TRUE(b.EncodeTo(&row).ok());
+  ExpectDecodesTo(s, row, vals);
   auto to_arena = b.EncodeTo(arena);
-  ASSERT_TRUE(to_arena.ok());
-  EXPECT_EQ(Slice(legacy.value()), to_arena.value());
+  ASSERT_TRUE(to_arena.ok()) << to_arena.status().ToString();
+  EXPECT_EQ(to_arena.value(), Slice(row));
 
-  std::string old_row = legacy.value();
-  RowView old_view(&s, old_row.data());
+  // --- Re-encoding the decoded values reproduces the same bytes.
+  RowView view(&s, row.data());
+  RowBuilder again(&s);
+  for (size_t i = 0; i < s.num_columns(); ++i) {
+    if (view.IsNull(i)) {
+      again.SetNull(i);
+    } else {
+      again.Set(i, view.GetValue(i));
+    }
+  }
+  auto reencoded = again.Encode();
+  ASSERT_TRUE(reencoded.ok()) << reencoded.status().ToString();
+  EXPECT_EQ(reencoded.value(), row);
+
+  // --- PAX leaf round trip: store the row in a slot and read it back.
+  TableLeafLayout layout = TableLeafLayout::Compute(s);
+  std::vector<char> page(kPageSize);
+  TableLeaf::Init(page.data(), s, layout, 1);
+  TableLeaf leaf(page.data(), &s, &layout);
+  const uint16_t slot = static_cast<uint16_t>(rng->Uniform(layout.capacity()));
+  ASSERT_TRUE(leaf.InsertRow(slot, view).ok());
+  auto from_leaf = leaf.ReadRowTo(slot, arena);
+  ASSERT_TRUE(from_leaf.ok()) << from_leaf.status().ToString();
+  EXPECT_EQ(from_leaf.value(), Slice(row));
 
   // --- Mutate a random non-empty column subset.
   std::vector<uint32_t> touched;
@@ -123,43 +163,24 @@ void FuzzOnce(Random* rng, Arena* arena) {
     new_vals[i] = nv;
   }
 
-  // --- PatchRowTo == full RowBuilder re-encode with the same final values.
-  std::string new_row = BuildRow(s, new_vals);
-  auto patched = PatchRowTo(s, old_view, sets.data(), sets.size(), arena);
+  // --- The patched row decodes to the new values; applying the touched
+  // columns' before-image delta to it restores the original bytes.
+  auto patched = PatchRowTo(s, view, sets.data(), sets.size(), arena);
   ASSERT_TRUE(patched.ok()) << patched.status().ToString();
-  EXPECT_EQ(Slice(new_row), patched.value());
-  RowView new_view(&s, new_row.data());
-
-  // --- MakeDelta == MakeDeltaTo over the explicit column set.
-  std::string delta = DeltaCodec::MakeDelta(s, old_view, touched);
-  Slice delta_to = DeltaCodec::MakeDeltaTo(s, old_view, touched.data(),
-                                           touched.size(), arena);
-  EXPECT_EQ(Slice(delta), delta_to);
-
-  // --- ComputeBeforeDelta == ComputeBeforeDeltaTo over old/new rows.
-  std::string before = DeltaCodec::ComputeBeforeDelta(s, old_view, new_view);
-  Slice before_to = DeltaCodec::ComputeBeforeDeltaTo(s, old_view, new_view,
-                                                     arena);
-  EXPECT_EQ(Slice(before), before_to);
-
-  // --- ApplyDelta == ApplyDeltaTo, and both undo the mutation. `before`
-  // holds old values of columns that actually differ, so applying it to the
-  // new row must reproduce the old row exactly.
-  auto undone = DeltaCodec::ApplyDelta(s, Slice(new_row), Slice(before));
+  ExpectDecodesTo(s, patched.value(), new_vals);
+  Slice delta =
+      DeltaCodec::MakeDelta(s, view, touched.data(), touched.size(), arena);
+  auto undone = DeltaCodec::ApplyDelta(s, patched.value(), delta, arena);
   ASSERT_TRUE(undone.ok()) << undone.status().ToString();
-  auto undone_to = DeltaCodec::ApplyDeltaTo(s, Slice(new_row), Slice(before),
-                                            arena);
-  ASSERT_TRUE(undone_to.ok()) << undone_to.status().ToString();
-  EXPECT_EQ(undone.value(), old_row);
-  EXPECT_EQ(Slice(undone.value()), undone_to.value());
+  EXPECT_EQ(undone.value(), Slice(row));
 
   // --- TouchedColumns round-trips the explicit-set delta.
-  auto cols = DeltaCodec::TouchedColumns(s, Slice(delta));
+  auto cols = DeltaCodec::TouchedColumns(s, delta);
   ASSERT_TRUE(cols.ok());
   EXPECT_EQ(touched, cols.value());
 }
 
-TEST(CodecFuzzTest, LegacyAndArenaVariantsAreByteIdentical) {
+TEST(CodecFuzzTest, DecodeRoundTrips) {
   Random rng(20260808);
   Arena arena;
   for (int iter = 0; iter < 400; ++iter) {

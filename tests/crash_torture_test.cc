@@ -80,8 +80,9 @@ void ResolveFuzzy(Database* db, Table* table, Model* model) {
   Transaction* reader = db->Begin(db->aux_slot(0));
   for (const auto& [k, v] : model->fuzzy) {
     RowId rid = 0;
-    std::string row;
-    Status st = table->IndexGet(&ctx, reader, 0, {Value::Int64(k)}, &rid, &row);
+    Slice row;
+    Status st =
+        table->IndexGetRef(&ctx, reader, 0, {Value::Int64(k)}, &rid, &row);
     if (st.ok()) {
       EXPECT_EQ(RowView(&table->schema(), row.data()).GetString(1), Slice(v))
           << "fuzzy key " << k << " resurfaced with a corrupt value";
@@ -103,7 +104,7 @@ void VerifyModel(Database* db, Table* table, const Model& model) {
   Transaction* reader = db->Begin(db->aux_slot(0));
   std::map<int64_t, std::string> found;
   ASSERT_OK(table->ScanAllVisible(
-      &ctx, reader, [&](RowId, const std::string& row) {
+      &ctx, reader, [&](RowId, Slice row) {
         RowView v(&table->schema(), row.data());
         int64_t k = v.GetInt64(0);
         if (k >= kZombieKeyStart) {
@@ -116,9 +117,9 @@ void VerifyModel(Database* db, Table* table, const Model& model) {
   EXPECT_EQ(found, model.rows);
   for (const auto& [k, v] : model.rows) {
     RowId rid = 0;
-    std::string row;
+    Slice row;
     ASSERT_OK(
-        table->IndexGet(&ctx, reader, 0, {Value::Int64(k)}, &rid, &row));
+        table->IndexGetRef(&ctx, reader, 0, {Value::Int64(k)}, &rid, &row));
     EXPECT_EQ(RowView(&table->schema(), row.data()).GetString(1), Slice(v));
   }
   ASSERT_OK(db->Commit(&ctx, reader));

@@ -381,7 +381,7 @@ TEST(WalFailStopTest, SyncFailureStopsCommitsAndWakesWaiters) {
   BufferFrame frame;
   uint64_t gsn = wal->OnPageWrite(t1, &frame);
   wal->LogData(t1, WalRecordType::kInsert, gsn,
-               WalRecordCodec::DataPayload(1, 1, "row"));
+               DataPayload(1, 1, "row"));
   wal->LogCommit(t1, 100);
   wal->WaitCommitDurable(t1);
   EXPECT_TRUE(wal->CommitDurable(t1));
@@ -394,7 +394,7 @@ TEST(WalFailStopTest, SyncFailureStopsCommitsAndWakesWaiters) {
   Transaction* t2 = tm.Begin(0, IsolationLevel::kReadCommitted);
   gsn = wal->OnPageWrite(t2, &frame);
   wal->LogData(t2, WalRecordType::kInsert, gsn,
-               WalRecordCodec::DataPayload(1, 2, "row2"));
+               DataPayload(1, 2, "row2"));
   wal->LogCommit(t2, 101);
   wal->WaitCommitDurable(t2);  // must return (woken by fail-stop)
   EXPECT_TRUE(wal->fail_stopped());
@@ -422,7 +422,7 @@ class RecoveryScanFaultTest : public ::testing::Test {
       Xid xid = MakeXid(static_cast<uint64_t>(i));
       WalRecordCodec::Encode(WalRecordType::kInsert, 2 * i - 1,
                              static_cast<uint64_t>(i), xid,
-                             WalRecordCodec::DataPayload(1, i, "r"), &buf);
+                             DataPayload(1, i, "r"), &buf);
       WalRecordCodec::Encode(WalRecordType::kCommit, 2 * i,
                              static_cast<uint64_t>(i), xid,
                              WalRecordCodec::CommitPayload(100 + i), &buf);

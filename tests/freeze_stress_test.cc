@@ -78,8 +78,8 @@ TEST_P(FreezeStressTest, ConcurrentFreezeKeepsDataIntact) {
         int64_t next = static_cast<int64_t>(rng.Next() % 100000);
         Transaction* txn = db->Begin(db->aux_slot(w));
         RowId rid = 0;
-        Status st = table->IndexGet(&ctx, txn, 0, {Value::Int64(k)}, &rid,
-                                    nullptr);
+        Status st = table->IndexGetRef(&ctx, txn, 0, {Value::Int64(k)}, &rid,
+                                       nullptr);
         if (st.ok()) {
           st = table->Update(&ctx, txn, rid, {{1, Value::Int64(next)}});
         }
@@ -102,10 +102,10 @@ TEST_P(FreezeStressTest, ConcurrentFreezeKeepsDataIntact) {
     while (!stop.load(std::memory_order_relaxed)) {
       int64_t k = static_cast<int64_t>(rng.Uniform(kRows));
       Transaction* txn = db->Begin(db->aux_slot(3));
-      std::string row;
+      Slice row;
       RowId rid = 0;
-      Status st = table->IndexGet(&ctx, txn, 0, {Value::Int64(k)}, &rid,
-                                  &row);
+      Status st = table->IndexGetRef(&ctx, txn, 0, {Value::Int64(k)}, &rid,
+                                     &row);
       EXPECT_TRUE(st.ok() || st.IsNotFound()) << st.ToString();
       if (st.ok()) {
         EXPECT_EQ(RowView(&table->schema(), row.data()).GetInt64(0), k);
@@ -147,7 +147,7 @@ TEST_P(FreezeStressTest, ConcurrentFreezeKeepsDataIntact) {
   Transaction* verify = db->Begin(db->aux_slot(0));
   std::map<int64_t, int64_t> found;
   ASSERT_OK(table->ScanAllVisible(
-      &ctx, verify, [&](RowId, const std::string& row) {
+      &ctx, verify, [&](RowId, Slice row) {
         RowView v(&table->schema(), row.data());
         auto [it, fresh] = found.emplace(v.GetInt64(0), v.GetInt64(1));
         EXPECT_TRUE(fresh) << "duplicate key " << v.GetInt64(0);

@@ -97,8 +97,8 @@ TEST(SeparateWalDirTest, WalLandsInConfiguredDirectory) {
   OpContext ctx;
   ctx.synchronous = true;
   Transaction* reader = db2.value()->Begin(db2.value()->aux_slot());
-  std::string row;
-  ASSERT_OK(t->Get(&ctx, reader, rid, &row));
+  Slice row;
+  ASSERT_OK(t->GetRef(&ctx, reader, rid, &row));
   ASSERT_OK(db2.value()->Commit(&ctx, reader));
   ASSERT_OK(db2.value()->Close());
 }

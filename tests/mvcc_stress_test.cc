@@ -89,13 +89,13 @@ TEST_P(MvccStressTest, ReadersNeverSeeTornInvariant) {
       while (!stop.load(std::memory_order_relaxed)) {
         Transaction* txn = db->Begin(db->aux_slot(4 + r), iso);
         RowId rid = rids[rng.Uniform(kRows)];
-        std::string row1, row2;
-        Status st = table->Get(&ctx, txn, rid, &row1);
+        Slice row1, row2;
+        Status st = table->GetRef(&ctx, txn, rid, &row1);
         if (st.ok()) {
           RowView v(&table->schema(), row1.data());
           if (v.GetInt64(1) != v.GetInt64(2)) violations.fetch_add(1);
           if (iso == IsolationLevel::kRepeatableRead) {
-            st = table->Get(&ctx, txn, rid, &row2);
+            st = table->GetRef(&ctx, txn, rid, &row2);
             if (st.ok() && row1 != row2) violations.fetch_add(1);
           }
         }
@@ -159,8 +159,8 @@ TEST(MvccChainTest, DeepChainsServeOldSnapshots) {
 
   Transaction* old_reader =
       db->Begin(db->aux_slot(1), IsolationLevel::kRepeatableRead);
-  std::string row;
-  ASSERT_OK(table->Get(&ctx, old_reader, rid, &row));
+  Slice row;
+  ASSERT_OK(table->GetRef(&ctx, old_reader, rid, &row));
   EXPECT_EQ(RowView(&table->schema(), row.data()).GetInt64(0), 0);
 
   // Stack 50 committed versions on top.
@@ -171,7 +171,7 @@ TEST(MvccChainTest, DeepChainsServeOldSnapshots) {
     db->txn_manager()->RunUndoGc(db->aux_slot(0));  // pinned by old_reader
   }
   // Old snapshot still resolves to version 0 through the whole chain.
-  ASSERT_OK(table->Get(&ctx, old_reader, rid, &row));
+  ASSERT_OK(table->GetRef(&ctx, old_reader, rid, &row));
   EXPECT_EQ(RowView(&table->schema(), row.data()).GetInt64(0), 0);
   ASSERT_OK(db->Commit(&ctx, old_reader));
 
@@ -180,7 +180,7 @@ TEST(MvccChainTest, DeepChainsServeOldSnapshots) {
   EXPECT_EQ(db->txn_manager()->TotalLiveUndo(), 0u);
 
   Transaction* fresh = db->Begin(db->aux_slot(1));
-  ASSERT_OK(table->Get(&ctx, fresh, rid, &row));
+  ASSERT_OK(table->GetRef(&ctx, fresh, rid, &row));
   EXPECT_EQ(RowView(&table->schema(), row.data()).GetInt64(0), 50);
   ASSERT_OK(db->Commit(&ctx, fresh));
   ASSERT_OK(db->Close());

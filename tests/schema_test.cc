@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/arena.h"
 #include "common/random.h"
 #include "tests/test_util.h"
 
@@ -97,6 +98,8 @@ TEST(RowCodecTest, GetValueMirrorsGetters) {
 
 // --- DeltaCodec ----------------------------------------------------------------
 
+const uint32_t kAllColumns[] = {0, 1, 2, 3, 4};
+
 TEST(DeltaCodecTest, BeforeDeltaRoundTrip) {
   Schema s = TestSchema();
   RowBuilder b1(&s);
@@ -109,15 +112,16 @@ TEST(DeltaCodecTest, BeforeDeltaRoundTrip) {
       .SetString(4, "keep");
   std::string new_row = b2.Encode().value();
 
-  RowView old_view(&s, old_row.data());
-  RowView new_view(&s, new_row.data());
-  std::string delta = DeltaCodec::ComputeBeforeDelta(s, old_view, new_view);
+  Arena arena;
+  const uint32_t changed[] = {1, 2, 3};
+  Slice delta =
+      DeltaCodec::MakeDelta(s, RowView(&s, old_row.data()), changed, 3, &arena);
   EXPECT_FALSE(delta.empty());
 
   // Applying the before-delta onto the new row reconstructs the old row.
-  Result<std::string> back = DeltaCodec::ApplyDelta(s, new_row, delta);
+  Result<Slice> back = DeltaCodec::ApplyDelta(s, new_row, delta, &arena);
   ASSERT_OK_R(back);
-  EXPECT_EQ(back.value(), old_row);
+  EXPECT_EQ(back.value(), Slice(old_row));
 
   Result<std::vector<uint32_t>> touched = DeltaCodec::TouchedColumns(s, delta);
   ASSERT_OK_R(touched);
@@ -129,14 +133,15 @@ TEST(DeltaCodecTest, NoChangeProducesEmptyColumnSet) {
   RowBuilder b(&s);
   b.SetInt32(0, 1).SetInt64(1, 2).SetString(3, "same");
   std::string row = b.Encode().value();
-  RowView v(&s, row.data());
-  std::string delta = DeltaCodec::ComputeBeforeDelta(s, v, v);
+  Arena arena;
+  Slice delta =
+      DeltaCodec::MakeDelta(s, RowView(&s, row.data()), nullptr, 0, &arena);
   Result<std::vector<uint32_t>> touched = DeltaCodec::TouchedColumns(s, delta);
   ASSERT_OK_R(touched);
   EXPECT_TRUE(touched.value().empty());
-  Result<std::string> same = DeltaCodec::ApplyDelta(s, row, delta);
+  Result<Slice> same = DeltaCodec::ApplyDelta(s, row, delta, &arena);
   ASSERT_OK_R(same);
-  EXPECT_EQ(same.value(), row);
+  EXPECT_EQ(same.value(), Slice(row));
 }
 
 TEST(DeltaCodecTest, NullTransitions) {
@@ -149,11 +154,12 @@ TEST(DeltaCodecTest, NullTransitions) {
       .SetString(4, "now");
   std::string new_row = b2.Encode().value();  // c=null, e="now"
 
-  std::string delta = DeltaCodec::ComputeBeforeDelta(
-      s, RowView(&s, old_row.data()), RowView(&s, new_row.data()));
-  Result<std::string> back = DeltaCodec::ApplyDelta(s, new_row, delta);
+  Arena arena;
+  Slice delta = DeltaCodec::MakeDelta(s, RowView(&s, old_row.data()),
+                                      kAllColumns, 5, &arena);
+  Result<Slice> back = DeltaCodec::ApplyDelta(s, new_row, delta, &arena);
   ASSERT_OK_R(back);
-  EXPECT_EQ(back.value(), old_row);
+  EXPECT_EQ(back.value(), Slice(old_row));
 }
 
 TEST(DeltaCodecTest, CorruptDeltaRejected) {
@@ -161,16 +167,18 @@ TEST(DeltaCodecTest, CorruptDeltaRejected) {
   RowBuilder b(&s);
   b.SetInt32(0, 1).SetInt64(1, 2).SetString(3, "x");
   std::string row = b.Encode().value();
-  EXPECT_FALSE(DeltaCodec::ApplyDelta(s, row, "\xff\xff\xff").ok());
+  Arena arena;
+  EXPECT_FALSE(DeltaCodec::ApplyDelta(s, row, "\xff\xff\xff", &arena).ok());
 }
 
-// Property sweep: random rows, random column subsets; before-delta applied
-// to the new row always reconstructs the old row exactly.
+// Property sweep: random rows; the before-delta of all columns applied to
+// the new row always reconstructs the old row exactly.
 class DeltaPropertyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(DeltaPropertyTest, RandomRoundTrips) {
   Schema s = TestSchema();
   Random rng(GetParam() * 2654435761u + 1);
+  Arena arena;
   for (int iter = 0; iter < 200; ++iter) {
     auto random_row = [&]() {
       RowBuilder b(&s);
@@ -191,11 +199,12 @@ TEST_P(DeltaPropertyTest, RandomRoundTrips) {
     };
     std::string old_row = random_row();
     std::string new_row = random_row();
-    std::string delta = DeltaCodec::ComputeBeforeDelta(
-        s, RowView(&s, old_row.data()), RowView(&s, new_row.data()));
-    Result<std::string> back = DeltaCodec::ApplyDelta(s, new_row, delta);
+    Slice delta = DeltaCodec::MakeDelta(s, RowView(&s, old_row.data()),
+                                        kAllColumns, 5, &arena);
+    Result<Slice> back = DeltaCodec::ApplyDelta(s, new_row, delta, &arena);
     ASSERT_OK_R(back);
-    ASSERT_EQ(back.value(), old_row);
+    ASSERT_EQ(back.value(), Slice(old_row));
+    arena.Reset();
   }
 }
 

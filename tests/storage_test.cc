@@ -58,9 +58,10 @@ TEST(TableLeafTest, InsertReadUpdateErase) {
   EXPECT_FALSE(leaf.IsLive(6));
   EXPECT_EQ(leaf.live_count(), 1u);
 
-  std::string got;
-  ASSERT_OK(leaf.ReadRow(5, &got));
-  RowView v(&s, got.data());
+  Arena arena;
+  Result<Slice> got = leaf.ReadRowTo(5, &arena);
+  ASSERT_OK_R(got);
+  RowView v(&s, got.value().data());
   EXPECT_EQ(v.GetInt64(0), 7);
   EXPECT_EQ(v.GetString(3), Slice("widget"));
 
@@ -70,9 +71,10 @@ TEST(TableLeafTest, InsertReadUpdateErase) {
   // In-place update.
   std::string row2 = MakeRow(s, 7, 42, 1.25, "gadget");
   ASSERT_OK(leaf.UpdateRow(5, RowView(&s, row2.data())));
-  ASSERT_OK(leaf.ReadRow(5, &got));
-  EXPECT_EQ(RowView(&s, got.data()).GetInt32(1), 42);
-  EXPECT_EQ(RowView(&s, got.data()).GetString(3), Slice("gadget"));
+  got = leaf.ReadRowTo(5, &arena);
+  ASSERT_OK_R(got);
+  EXPECT_EQ(RowView(&s, got.value().data()).GetInt32(1), 42);
+  EXPECT_EQ(RowView(&s, got.value().data()).GetString(3), Slice("gadget"));
 
   // Deleted marker.
   EXPECT_FALSE(leaf.IsDeleted(5));
@@ -82,7 +84,7 @@ TEST(TableLeafTest, InsertReadUpdateErase) {
 
   ASSERT_OK(leaf.EraseRow(5));
   EXPECT_FALSE(leaf.IsLive(5));
-  EXPECT_TRUE(leaf.ReadRow(5, &got).IsNotFound());
+  EXPECT_TRUE(leaf.ReadRowTo(5, &arena).status().IsNotFound());
   EXPECT_TRUE(leaf.UpdateRow(5, RowView(&s, row.data())).IsNotFound());
 }
 
@@ -100,10 +102,11 @@ TEST(TableLeafTest, FillToCapacity) {
   EXPECT_TRUE(
       leaf.InsertRow(layout.capacity(), RowView(&s, MakeRow(s, 0, 0, 0, "x").data()))
           .IsInvalidArgument());
+  Arena arena;
   for (uint16_t i = 0; i < layout.capacity(); ++i) {
-    std::string got;
-    ASSERT_OK(leaf.ReadRow(i, &got));
-    ASSERT_EQ(RowView(&s, got.data()).GetInt64(0), i);
+    Result<Slice> got = leaf.ReadRowTo(i, &arena);
+    ASSERT_OK_R(got);
+    ASSERT_EQ(RowView(&s, got.value().data()).GetInt64(0), i);
   }
 }
 
@@ -117,10 +120,13 @@ TEST(TableLeafTest, NullHandling) {
   b.SetInt64(0, 1).SetInt32(1, 2).SetNull(2).SetString(3, "x");
   std::string row = b.Encode().value();
   ASSERT_OK(leaf.InsertRow(0, RowView(&s, row.data())));
-  std::string got;
-  ASSERT_OK(leaf.ReadRow(0, &got));
-  EXPECT_TRUE(RowView(&s, got.data()).IsNull(2));
-  EXPECT_FALSE(RowView(&s, got.data()).IsNull(1));
+  Arena arena;
+  Result<Slice> got = leaf.ReadRowTo(0, &arena);
+  ASSERT_OK_R(got);
+  // Reading the PAX slot back reproduces the encoded row byte for byte.
+  EXPECT_EQ(got.value(), Slice(row));
+  EXPECT_TRUE(RowView(&s, got.value().data()).IsNull(2));
+  EXPECT_FALSE(RowView(&s, got.value().data()).IsNull(1));
 }
 
 // --- Frozen block codec --------------------------------------------------------

@@ -70,8 +70,8 @@ TEST_F(TableTest, UniqueIndexRejectsDuplicates) {
 
   // Original row is intact.
   Transaction* t3 = db_->Begin(db_->aux_slot(0));
-  std::string row;
-  ASSERT_OK(table_->IndexGet(&ctx_, t3, 0, {Value::Int64(42)}, &rid, &row));
+  Slice row;
+  ASSERT_OK(table_->IndexGetRef(&ctx_, t3, 0, {Value::Int64(42)}, &rid, &row));
   EXPECT_EQ(RowView(&table_->schema(), row.data()).GetString(1),
             Slice("widget"));
   ASSERT_OK(db_->Commit(&ctx_, t3));
@@ -87,8 +87,8 @@ TEST_F(TableTest, NonUniqueIndexScansDuplicateKeys) {
 
   Transaction* reader = db_->Begin(db_->aux_slot(0));
   std::vector<int64_t> skus;
-  ASSERT_OK(table_->IndexScan(&ctx_, reader, 1, {Value::String("same")}, {},
-                              [&](RowId, const std::string& row) {
+  ASSERT_OK(table_->IndexScanRef(&ctx_, reader, 1, {Value::String("same")}, {},
+                                 [&](RowId, Slice row) {
                                 skus.push_back(
                                     RowView(&table_->schema(), row.data())
                                         .GetInt64(0));
@@ -111,9 +111,9 @@ TEST_F(TableTest, IndexScanFiltersInvisibleRows) {
 
   Transaction* reader = db_->Begin(db_->aux_slot(1));
   int count = 0;
-  ASSERT_OK(table_->IndexScan(&ctx_, reader, 0, {Value::Int64(0)},
-                              {Value::Int64(100)},
-                              [&](RowId, const std::string&) {
+  ASSERT_OK(table_->IndexScanRef(&ctx_, reader, 0, {Value::Int64(0)},
+                                 {Value::Int64(100)},
+                                 [&](RowId, Slice) {
                                 ++count;
                                 return true;
                               }));
@@ -124,9 +124,9 @@ TEST_F(TableTest, IndexScanFiltersInvisibleRows) {
   // After commit a fresh scan sees both.
   Transaction* reader2 = db_->Begin(db_->aux_slot(1));
   count = 0;
-  ASSERT_OK(table_->IndexScan(&ctx_, reader2, 0, {Value::Int64(0)},
-                              {Value::Int64(100)},
-                              [&](RowId, const std::string&) {
+  ASSERT_OK(table_->IndexScanRef(&ctx_, reader2, 0, {Value::Int64(0)},
+                                 {Value::Int64(100)},
+                                 [&](RowId, Slice) {
                                 ++count;
                                 return true;
                               }));
@@ -143,8 +143,8 @@ TEST_F(TableTest, RepeatableReadFirstUpdaterWins) {
   Transaction* rr = db_->Begin(db_->aux_slot(0),
                                IsolationLevel::kRepeatableRead);
   // Make sure rr's snapshot predates the concurrent commit.
-  std::string row;
-  ASSERT_OK(table_->Get(&ctx_, rr, rid, &row));
+  Slice row;
+  ASSERT_OK(table_->GetRef(&ctx_, rr, rid, &row));
 
   Transaction* other = db_->Begin(db_->aux_slot(1));
   ASSERT_OK(table_->Update(&ctx_, other, rid, {{2, Value::Int32(1)}}));
@@ -169,8 +169,8 @@ TEST_F(TableTest, RepeatableReadSnapshotStable) {
 
   Transaction* rr = db_->Begin(db_->aux_slot(0),
                                IsolationLevel::kRepeatableRead);
-  std::string row;
-  ASSERT_OK(table_->Get(&ctx_, rr, rid, &row));
+  Slice row;
+  ASSERT_OK(table_->GetRef(&ctx_, rr, rid, &row));
   int32_t before = RowView(&table_->schema(), row.data()).GetInt32(2);
 
   Transaction* writer = db_->Begin(db_->aux_slot(1));
@@ -179,13 +179,13 @@ TEST_F(TableTest, RepeatableReadSnapshotStable) {
 
   // Same snapshot, same value — even after a refresh attempt.
   db_->StatementBegin(rr);
-  ASSERT_OK(table_->Get(&ctx_, rr, rid, &row));
+  ASSERT_OK(table_->GetRef(&ctx_, rr, rid, &row));
   EXPECT_EQ(RowView(&table_->schema(), row.data()).GetInt32(2), before);
   ASSERT_OK(db_->Commit(&ctx_, rr));
 
   // RC sees the new value immediately.
   Transaction* rc = db_->Begin(db_->aux_slot(0));
-  ASSERT_OK(table_->Get(&ctx_, rc, rid, &row));
+  ASSERT_OK(table_->GetRef(&ctx_, rc, rid, &row));
   EXPECT_EQ(RowView(&table_->schema(), row.data()).GetInt32(2), 999);
   ASSERT_OK(db_->Commit(&ctx_, rc));
 }
@@ -226,8 +226,8 @@ TEST_F(TableTest, ConcurrentIncrementsAreAtomic) {
   for (auto& t : threads) t.join();
 
   Transaction* reader = db_->Begin(db_->aux_slot(0));
-  std::string row;
-  ASSERT_OK(table_->Get(&ctx_, reader, rid, &row));
+  Slice row;
+  ASSERT_OK(table_->GetRef(&ctx_, reader, rid, &row));
   EXPECT_EQ(RowView(&table_->schema(), row.data()).GetInt32(2),
             kThreads * kIncrements);
   ASSERT_OK(db_->Commit(&ctx_, reader));
@@ -247,19 +247,116 @@ TEST_F(TableTest, KeyChangingUpdateMovesIndexEntry) {
 
   Transaction* reader = db_->Begin(db_->aux_slot(0));
   int old_hits = 0, new_hits = 0;
-  ASSERT_OK(table_->IndexScan(&ctx_, reader, 1, {Value::String("oldname")},
-                              {}, [&](RowId, const std::string&) {
+  ASSERT_OK(table_->IndexScanRef(&ctx_, reader, 1, {Value::String("oldname")},
+                                 {}, [&](RowId, Slice) {
                                 ++old_hits;
                                 return true;
                               }));
-  ASSERT_OK(table_->IndexScan(&ctx_, reader, 1, {Value::String("newname")},
-                              {}, [&](RowId, const std::string&) {
+  ASSERT_OK(table_->IndexScanRef(&ctx_, reader, 1, {Value::String("newname")},
+                                 {}, [&](RowId, Slice) {
                                 ++new_hits;
                                 return true;
                               }));
   EXPECT_EQ(old_hits, 0);
   EXPECT_EQ(new_hits, 1);
   ASSERT_OK(db_->Commit(&ctx_, reader));
+}
+
+TEST_F(TableTest, AbortedKeyChangingUpdateRemovesNewKeys) {
+  Open();
+  Transaction* setup = db_->Begin(db_->aux_slot(0));
+  RowId rid = InsertItem(setup, 20, "item", 1);
+  ASSERT_OK(db_->Commit(&ctx_, setup));
+
+  // Change both indexed columns, then abort.
+  Transaction* txn = db_->Begin(db_->aux_slot(0));
+  ASSERT_OK(table_->Update(&ctx_, txn, rid,
+                           {{0, Value::Int64(21)}, {1, Value::String("x")}}));
+  ASSERT_OK(db_->Abort(&ctx_, txn));
+  db_->DrainGc();
+
+  Transaction* reader = db_->Begin(db_->aux_slot(0));
+  RowId found = 0;
+  Slice row;
+  EXPECT_TRUE(
+      table_->IndexGetRef(&ctx_, reader, 0, {Value::Int64(21)}, &found, &row)
+          .IsNotFound());
+  ASSERT_OK(
+      table_->IndexGetRef(&ctx_, reader, 0, {Value::Int64(20)}, &found, &row));
+  EXPECT_EQ(found, rid);
+  EXPECT_EQ(RowView(&table_->schema(), row.data()).GetInt64(0), 20);
+  int stale_hits = 0;
+  ASSERT_OK(table_->IndexScanRef(&ctx_, reader, 1, {Value::String("x")}, {},
+                                 [&](RowId, Slice) {
+                                   ++stale_hits;
+                                   return true;
+                                 }));
+  EXPECT_EQ(stale_hits, 0);
+  ASSERT_OK(db_->Commit(&ctx_, reader));
+
+  // The aborted key is free for another row.
+  Transaction* again = db_->Begin(db_->aux_slot(0));
+  InsertItem(again, 21, "other", 2);
+  ASSERT_OK(db_->Commit(&ctx_, again));
+}
+
+TEST_F(TableTest, AbortedUpdateKeepsKeyOfOlderVisibleVersion) {
+  Open();
+  Transaction* setup = db_->Begin(db_->aux_slot(0));
+  RowId rid = InsertItem(setup, 30, "item", 1);
+  ASSERT_OK(db_->Commit(&ctx_, setup));
+
+  // A snapshot taken before 30 -> 31 keeps seeing the row under key 30.
+  Transaction* old_snap =
+      db_->Begin(db_->aux_slot(1), IsolationLevel::kRepeatableRead);
+  Transaction* t1 = db_->Begin(db_->aux_slot(0));
+  ASSERT_OK(table_->Update(&ctx_, t1, rid, {{0, Value::Int64(31)}}));
+  ASSERT_OK(db_->Commit(&ctx_, t1));
+  // 31 -> 30 re-claims the still-present entry of key 30, then aborts.
+  Transaction* t2 = db_->Begin(db_->aux_slot(0));
+  ASSERT_OK(table_->Update(&ctx_, t2, rid, {{0, Value::Int64(30)}}));
+  ASSERT_OK(db_->Abort(&ctx_, t2));
+
+  RowId found = 0;
+  Slice row;
+  ASSERT_OK(table_->IndexGetRef(&ctx_, old_snap, 0, {Value::Int64(30)},
+                                &found, &row));
+  EXPECT_EQ(found, rid);
+  EXPECT_EQ(RowView(&table_->schema(), row.data()).GetInt64(0), 30);
+  ASSERT_OK(db_->Commit(&ctx_, old_snap));
+
+  // Once no snapshot needs the old version, GC drops key 30.
+  db_->DrainGc();
+  Transaction* reader = db_->Begin(db_->aux_slot(0));
+  EXPECT_TRUE(
+      table_->IndexGetRef(&ctx_, reader, 0, {Value::Int64(30)}, &found, &row)
+          .IsNotFound());
+  ASSERT_OK(
+      table_->IndexGetRef(&ctx_, reader, 0, {Value::Int64(31)}, &found, &row));
+  EXPECT_EQ(found, rid);
+  ASSERT_OK(db_->Commit(&ctx_, reader));
+}
+
+TEST_F(TableTest, IndexArgumentsAreChecked) {
+  Open();
+  Transaction* txn = db_->Begin(db_->aux_slot(0));
+  InsertItem(txn, 40, "item", 1);
+  RowId found = 0;
+  Slice row;
+  auto never = [](RowId, Slice) { return true; };
+  EXPECT_TRUE(
+      table_->IndexGetRef(&ctx_, txn, 7, {Value::Int64(40)}, &found, &row)
+          .IsInvalidArgument());
+  EXPECT_TRUE(table_->IndexScanRef(&ctx_, txn, 7, {Value::Int64(40)}, {}, never)
+                  .IsInvalidArgument());
+  // More values than the one-column index has key columns.
+  const std::vector<Value> six(6, Value::Int64(40));
+  EXPECT_TRUE(table_->IndexScanRef(&ctx_, txn, 0, six, {}, never)
+                  .IsInvalidArgument());
+  EXPECT_TRUE(table_->IndexScanRef(&ctx_, txn, 0, {Value::Int64(40)}, six,
+                                   never)
+                  .IsInvalidArgument());
+  ASSERT_OK(db_->Commit(&ctx_, txn));
 }
 
 TEST_F(TableTest, GcPurgesDeletedTuplesAndIndexEntries) {
@@ -277,11 +374,11 @@ TEST_F(TableTest, GcPurgesDeletedTuplesAndIndexEntries) {
   // lookup finds nothing, not even a dangling rid).
   Transaction* reader = db_->Begin(db_->aux_slot(0));
   RowId found = 0;
-  std::string row;
+  Slice row;
   EXPECT_TRUE(
-      table_->IndexGet(&ctx_, reader, 0, {Value::Int64(11)}, &found, &row)
+      table_->IndexGetRef(&ctx_, reader, 0, {Value::Int64(11)}, &found, &row)
           .IsNotFound());
-  EXPECT_TRUE(table_->Get(&ctx_, reader, rid, &row).IsNotFound());
+  EXPECT_TRUE(table_->GetRef(&ctx_, reader, rid, &row).IsNotFound());
   ASSERT_OK(db_->Commit(&ctx_, reader));
 
   // The sku is insertable again after the purge.
@@ -350,16 +447,16 @@ TEST_F(TableTest, FreezeThenReadAndScan) {
 
   // Frozen rows still readable by rid, by index, and by full scan.
   Transaction* reader = db_->Begin(db_->aux_slot(0));
-  std::string row;
-  ASSERT_OK(table_->Get(&ctx_, reader, rids[10], &row));
+  Slice row;
+  ASSERT_OK(table_->GetRef(&ctx_, reader, rids[10], &row));
   EXPECT_EQ(RowView(&table_->schema(), row.data()).GetInt64(0), 1010);
   RowId found = 0;
-  ASSERT_OK(table_->IndexGet(&ctx_, reader, 0, {Value::Int64(1010)}, &found,
-                             &row));
+  ASSERT_OK(table_->IndexGetRef(&ctx_, reader, 0, {Value::Int64(1010)}, &found,
+                                &row));
   EXPECT_EQ(found, rids[10]);
   int seen = 0;
   ASSERT_OK(table_->ScanAllVisible(&ctx_, reader,
-                                   [&seen](RowId, const std::string&) {
+                                   [&seen](RowId, Slice) {
                                      ++seen;
                                      return true;
                                    }));
@@ -392,12 +489,12 @@ TEST_F(TableTest, FrozenUpdateWarmsRow) {
 
   Transaction* reader = db_->Begin(db_->aux_slot(0));
   RowId new_rid = 0;
-  std::string row;
-  ASSERT_OK(table_->IndexGet(&ctx_, reader, 0, {Value::Int64(2005)},
-                             &new_rid, &row));
+  Slice row;
+  ASSERT_OK(table_->IndexGetRef(&ctx_, reader, 0, {Value::Int64(2005)},
+                                &new_rid, &row));
   EXPECT_NE(new_rid, rids[5]);
   EXPECT_EQ(RowView(&table_->schema(), row.data()).GetInt32(2), 777);
-  EXPECT_TRUE(table_->Get(&ctx_, reader, rids[5], &row).IsNotFound());
+  EXPECT_TRUE(table_->GetRef(&ctx_, reader, rids[5], &row).IsNotFound());
   ASSERT_OK(db_->Commit(&ctx_, reader));
 
   // Delete of a frozen row tombstones it.
@@ -405,7 +502,7 @@ TEST_F(TableTest, FrozenUpdateWarmsRow) {
   ASSERT_OK(table_->Delete(&ctx_, deleter, rids[6]));
   ASSERT_OK(db_->Commit(&ctx_, deleter));
   Transaction* reader2 = db_->Begin(db_->aux_slot(0));
-  EXPECT_TRUE(table_->Get(&ctx_, reader2, rids[6], &row).IsNotFound());
+  EXPECT_TRUE(table_->GetRef(&ctx_, reader2, rids[6], &row).IsNotFound());
   ASSERT_OK(db_->Commit(&ctx_, reader2));
 }
 
@@ -444,7 +541,7 @@ TEST_F(TableTest, ColumnScanMatchesRowScan) {
   // Cross-check against the row scan.
   int64_t row_sum = 0;
   ASSERT_OK(table_->ScanAllVisible(&ctx_, reader,
-                                   [&](RowId, const std::string& row) {
+                                   [&](RowId, Slice row) {
                                      row_sum += RowView(&table_->schema(),
                                                         row.data())
                                                     .GetInt32(2);
@@ -512,9 +609,9 @@ TEST_F(TableTest, WarmPassRevivesHotFrozenRows) {
 
   // Hammer reads on one frozen row's block past the warm threshold.
   Transaction* reader = db_->Begin(db_->aux_slot(0));
-  std::string row;
+  Slice row;
   for (int i = 0; i < 20; ++i) {
-    ASSERT_OK(table_->Get(&ctx_, reader, rids[3], &row));
+    ASSERT_OK(table_->GetRef(&ctx_, reader, rids[3], &row));
   }
   ASSERT_OK(db_->Commit(&ctx_, reader));
 
@@ -528,11 +625,11 @@ TEST_F(TableTest, WarmPassRevivesHotFrozenRows) {
   // its index, with the frozen copy tombstoned.
   Transaction* verify = db_->Begin(db_->aux_slot(0));
   RowId new_rid = 0;
-  ASSERT_OK(table_->IndexGet(&ctx_, verify, 0, {Value::Int64(4003)},
-                             &new_rid, &row));
+  ASSERT_OK(table_->IndexGetRef(&ctx_, verify, 0, {Value::Int64(4003)},
+                                &new_rid, &row));
   EXPECT_GT(new_rid, watermark);
   EXPECT_EQ(RowView(&table_->schema(), row.data()).GetInt32(2), 3);
-  EXPECT_TRUE(table_->Get(&ctx_, verify, rids[3], &row).IsNotFound());
+  EXPECT_TRUE(table_->GetRef(&ctx_, verify, rids[3], &row).IsNotFound());
   ASSERT_OK(db_->Commit(&ctx_, verify));
 }
 
@@ -558,15 +655,15 @@ TEST_F(TableTest, StaleFrozenBlockIsShadowedByLiveTreeRows) {
 
   // Point reads return the tree version.
   Transaction* reader = db_->Begin(db_->aux_slot(0));
-  std::string row;
-  ASSERT_OK(table_->Get(&ctx_, reader, rids[0], &row));
+  Slice row;
+  ASSERT_OK(table_->GetRef(&ctx_, reader, rids[0], &row));
   EXPECT_EQ(RowView(&table_->schema(), row.data()).GetString(1),
             Slice("orig"));
 
   // Full scans emit each rid exactly once, with tree values.
   int seen = 0;
   ASSERT_OK(table_->ScanAllVisible(
-      &ctx_, reader, [&](RowId, const std::string& r) {
+      &ctx_, reader, [&](RowId, Slice r) {
         EXPECT_EQ(RowView(&table_->schema(), r.data()).GetString(1),
                   Slice("orig"));
         ++seen;
@@ -598,7 +695,7 @@ TEST_F(TableTest, StaleFrozenBlockIsShadowedByLiveTreeRows) {
   ASSERT_OK(db_->Commit(&ctx_, deleter));
   db_->DrainGc();  // physically purges the tree slot
   Transaction* reader2 = db_->Begin(db_->aux_slot(0));
-  EXPECT_TRUE(table_->Get(&ctx_, reader2, rids[2], &row).IsNotFound());
+  EXPECT_TRUE(table_->GetRef(&ctx_, reader2, rids[2], &row).IsNotFound());
   ASSERT_OK(db_->Commit(&ctx_, reader2));
 }
 
@@ -607,34 +704,65 @@ TEST_F(TableTest, StaleFrozenBlockIsShadowedByLiveTreeRows) {
 TEST(KeyEncodingTest, IntOrderPreserved) {
   Schema s({{"k", ColumnType::kInt64, 0, false}});
   Random rng(17);
+  Arena arena;
   for (int i = 0; i < 2000; ++i) {
     int64_t a = static_cast<int64_t>(rng.Next());
     int64_t b = static_cast<int64_t>(rng.Next());
-    auto ka = Table::EncodeKeyValues(s, {0}, {Value::Int64(a)});
-    auto kb = Table::EncodeKeyValues(s, {0}, {Value::Int64(b)});
+    auto ka = Table::EncodeKeyValuesTo(s, {0}, {Value::Int64(a)}, &arena);
+    auto kb = Table::EncodeKeyValuesTo(s, {0}, {Value::Int64(b)}, &arena);
     ASSERT_OK_R(ka);
     ASSERT_OK_R(kb);
-    ASSERT_EQ(a < b, Slice(ka.value()).compare(Slice(kb.value())) < 0)
-        << a << " vs " << b;
+    ASSERT_EQ(a < b, ka.value().compare(kb.value()) < 0) << a << " vs " << b;
   }
 }
 
 TEST(KeyEncodingTest, CompositeStringOrdering) {
   Schema s({{"w", ColumnType::kInt32, 0, false},
             {"last", ColumnType::kString, 16, false}});
-  auto k1 = Table::EncodeKeyValues(s, {0, 1},
-                                   {Value::Int32(1), Value::String("ABLE")});
-  auto k2 = Table::EncodeKeyValues(s, {0, 1},
-                                   {Value::Int32(1), Value::String("BAR")});
-  auto k3 = Table::EncodeKeyValues(s, {0, 1},
-                                   {Value::Int32(2), Value::String("AAA")});
-  ASSERT_OK_R(k1);
-  EXPECT_LT(Slice(k1.value()).compare(Slice(k2.value())), 0);
-  EXPECT_LT(Slice(k2.value()).compare(Slice(k3.value())), 0);
+  Arena arena;
+  auto key = [&](int32_t w, const char* last) {
+    auto k = Table::EncodeKeyValuesTo(
+        s, {0, 1}, {Value::Int32(w), Value::String(last)}, &arena);
+    EXPECT_TRUE(k.ok());
+    return k.value();
+  };
+  Slice k1 = key(1, "ABLE");
+  EXPECT_LT(k1.compare(key(1, "BAR")), 0);
+  EXPECT_LT(key(1, "BAR").compare(key(2, "AAA")), 0);
   // Shorter string that is a prefix sorts first.
-  auto p1 = Table::EncodeKeyValues(s, {0, 1},
-                                   {Value::Int32(1), Value::String("AB")});
-  EXPECT_LT(Slice(p1.value()).compare(Slice(k1.value())), 0);
+  EXPECT_LT(key(1, "AB").compare(k1), 0);
+}
+
+TEST(KeyEncodingTest, ValueAndRowSourcesAgree) {
+  Schema s({{"w", ColumnType::kInt32, 0, false},
+            {"name", ColumnType::kString, 16, true},
+            {"id", ColumnType::kInt64, 0, false}});
+  const std::vector<uint32_t> cols = {2, 1, 0};
+  Arena arena;
+  for (bool null_name : {false, true}) {
+    RowBuilder b(&s);
+    b.SetInt32(0, -7).SetInt64(2, 1ll << 40);
+    if (null_name) {
+      b.SetNull(1);
+    } else {
+      b.SetString(1, "abc");
+    }
+    std::string row = b.Encode().value();
+    std::vector<Value> values = {Value::Int64(1ll << 40),
+                                 null_name ? Value::Null(ColumnType::kString)
+                                           : Value::String("abc"),
+                                 Value::Int32(-7)};
+    auto from_values = Table::EncodeKeyValuesTo(s, cols, values, &arena);
+    ASSERT_OK_R(from_values);
+    auto from_row =
+        Table::EncodeKeyFromRowTo(s, cols, RowView(&s, row.data()), &arena);
+    ASSERT_OK_R(from_row);
+    EXPECT_EQ(from_row.value(), from_values.value());
+    EXPECT_EQ(from_row.value().size(), 8u + (null_name ? 0u : 3u) + 1u + 8u);
+  }
+  EXPECT_TRUE(Table::EncodeKeyValuesTo(s, cols, {Value::Int64(1)}, &arena)
+                  .status()
+                  .IsInvalidArgument());
 }
 
 TEST(KeyEncodingTest, PrefixSuccessor) {

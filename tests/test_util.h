@@ -5,8 +5,10 @@
 
 #include <string>
 
+#include "common/arena.h"
 #include "common/status.h"
 #include "io/env.h"
+#include "wal/record.h"
 
 namespace phoebe {
 
@@ -26,6 +28,13 @@ class TestDir {
  private:
   std::string path_;
 };
+
+/// A WAL data payload as an owned string, for tests that frame records by
+/// hand.
+inline std::string DataPayload(RelationId rel, RowId rid, Slice body) {
+  Arena arena;
+  return WalRecordCodec::DataPayloadTo(rel, rid, body, &arena).ToString();
+}
 
 #define ASSERT_OK(expr)                                 \
   do {                                                  \

@@ -41,7 +41,7 @@ class TpccLoaderTest : public ::testing::Test {
   int64_t CountRows(Table* t) {
     Transaction* txn = db_->Begin(db_->aux_slot(0));
     int64_t n = 0;
-    EXPECT_OK(t->ScanAllVisible(&ctx_, txn, [&n](RowId, const std::string&) {
+    EXPECT_OK(t->ScanAllVisible(&ctx_, txn, [&n](RowId, Slice) {
       ++n;
       return true;
     }));
@@ -82,18 +82,18 @@ TEST_F(TpccLoaderTest, EveryCustomerReachableViaBothIndexes) {
   for (int d = 1; d <= scale_.districts_per_warehouse; ++d) {
     for (int c = 1; c <= scale_.customers_per_district; ++c) {
       RowId rid = 0;
-      std::string row;
-      ASSERT_OK(tables_.customer->IndexGet(
+      Slice row;
+      ASSERT_OK(tables_.customer->IndexGetRef(
           &ctx_, txn, Tables::kPk,
           {Value::Int32(1), Value::Int32(d), Value::Int32(c)}, &rid, &row));
       RowView v(&tables_.customer->schema(), row.data());
       // The by-name index finds the same customer among its namesakes.
       std::string last = v.GetString(Customer::kLast).ToString();
       bool found = false;
-      ASSERT_OK(tables_.customer->IndexScan(
+      ASSERT_OK(tables_.customer->IndexScanRef(
           &ctx_, txn, Tables::kCustByName,
           {Value::Int32(1), Value::Int32(d), Value::String(last)}, {},
-          [&](RowId r, const std::string&) {
+          [&](RowId r, Slice) {
             if (r == rid) found = true;
             return !found;
           }));
@@ -110,7 +110,7 @@ TEST_F(TpccLoaderTest, UndeliveredOrdersHaveNullCarrier) {
       scale_.initial_orders_per_district - scale_.undelivered_tail;
   int checked = 0;
   ASSERT_OK(tables_.order->ScanAllVisible(
-      &ctx_, txn, [&](RowId, const std::string& row) {
+      &ctx_, txn, [&](RowId, Slice row) {
         RowView v(&tables_.order->schema(), row.data());
         bool expect_null = v.GetInt32(Order::kId) > delivered_bound;
         EXPECT_EQ(v.IsNull(Order::kCarrierId), expect_null);
@@ -145,10 +145,10 @@ TEST_F(TpccLoaderTest, RemoteNewOrderAcrossWarehouses) {
   // The remote stock row's remote_cnt was bumped.
   Transaction* txn = db_->Begin(db_->aux_slot(0));
   RowId rid = 0;
-  std::string row;
-  ASSERT_OK(tables_.stock->IndexGet(&ctx_, txn, Tables::kPk,
-                                    {Value::Int32(2), Value::Int32(1)}, &rid,
-                                    &row));
+  Slice row;
+  ASSERT_OK(tables_.stock->IndexGetRef(&ctx_, txn, Tables::kPk,
+                                       {Value::Int32(2), Value::Int32(1)}, &rid,
+                                       &row));
   EXPECT_EQ(
       RowView(&tables_.stock->schema(), row.data()).GetInt32(Stock::kRemoteCnt),
       1);
@@ -168,10 +168,10 @@ TEST_F(TpccLoaderTest, IntentionalRollbackLeavesNoTrace) {
   // next_o_id before.
   Transaction* before = db_->Begin(db_->aux_slot(0));
   RowId d_rid = 0;
-  std::string d_row;
-  ASSERT_OK(tables_.district->IndexGet(&ctx_, before, Tables::kPk,
-                                       {Value::Int32(1), Value::Int32(1)},
-                                       &d_rid, &d_row));
+  Slice d_row;
+  ASSERT_OK(tables_.district->IndexGetRef(&ctx_, before, Tables::kPk,
+                                          {Value::Int32(1), Value::Int32(1)},
+                                          &d_rid, &d_row));
   int32_t next_before = RowView(&tables_.district->schema(), d_row.data())
                             .GetInt32(District::kNextOId);
   ASSERT_OK(db_->Commit(&ctx_, before));
@@ -188,17 +188,17 @@ TEST_F(TpccLoaderTest, IntentionalRollbackLeavesNoTrace) {
 
   // The district counter and order tables are untouched.
   Transaction* after = db_->Begin(db_->aux_slot(0));
-  ASSERT_OK(tables_.district->IndexGet(&ctx_, after, Tables::kPk,
-                                       {Value::Int32(1), Value::Int32(1)},
-                                       &d_rid, &d_row));
+  ASSERT_OK(tables_.district->IndexGetRef(&ctx_, after, Tables::kPk,
+                                          {Value::Int32(1), Value::Int32(1)},
+                                          &d_rid, &d_row));
   EXPECT_EQ(RowView(&tables_.district->schema(), d_row.data())
                 .GetInt32(District::kNextOId),
             next_before);
   RowId o_rid = 0;
-  std::string o_row;
+  Slice o_row;
   EXPECT_TRUE(tables_.order
-                  ->IndexGet(&ctx_, after, Tables::kPk,
-                             {Value::Int32(1), Value::Int32(1),
+                  ->IndexGetRef(&ctx_, after, Tables::kPk,
+                                {Value::Int32(1), Value::Int32(1),
                               Value::Int32(next_before)},
                              &o_rid, &o_row)
                   .IsNotFound());

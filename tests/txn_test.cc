@@ -26,7 +26,10 @@ std::string ValueOf(const Schema& s, Slice row) {
 /// Delta whose before-image sets column 0 to `v`.
 std::string DeltaTo(const Schema& s, const std::string& v) {
   std::string row = Row(s, v);
-  return DeltaCodec::MakeDelta(s, RowView(&s, row.data()), {0});
+  Arena arena;
+  const uint32_t col = 0;
+  return DeltaCodec::MakeDelta(s, RowView(&s, row.data()), &col, 1, &arena)
+      .ToString();
 }
 
 // --- GlobalClock ---------------------------------------------------------------

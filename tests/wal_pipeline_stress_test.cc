@@ -213,7 +213,7 @@ TEST_F(WalPipelineStressTest, RemoteDependencyCommitWakes) {
   Transaction* txn1 = tm.Begin(0, IsolationLevel::kReadCommitted);
   uint64_t gsn = wal_->OnPageWrite(txn1, &frame);
   wal_->LogData(txn1, WalRecordType::kInsert, gsn,
-                WalRecordCodec::DataPayload(1, 1, "row"));
+                DataPayload(1, 1, "row"));
 
   // Slot 1 reads the page slot 0 just stamped -> remote dependency, unless
   // the background flusher already made the remote write durable, in which
@@ -224,7 +224,7 @@ TEST_F(WalPipelineStressTest, RemoteDependencyCommitWakes) {
               wal_->WriterFor(0).flushed_lsn() >= txn1->last_lsn);
   uint64_t gsn2 = wal_->OnPageWrite(txn2, &frame);
   wal_->LogData(txn2, WalRecordType::kInsert, gsn2,
-                WalRecordCodec::DataPayload(1, 2, "row2"));
+                DataPayload(1, 2, "row2"));
   wal_->LogCommit(txn2, 100);
 
   // The background flusher must drain BOTH writers before the wait returns.
@@ -250,7 +250,7 @@ TEST_F(WalPipelineStressTest, ParallelCommitWaiters) {
         BufferFrame frame;
         uint64_t gsn = wal_->OnPageWrite(txn, &frame);
         wal_->LogData(txn, WalRecordType::kInsert, gsn,
-                      WalRecordCodec::DataPayload(1, i, "payload"));
+                      DataPayload(1, i, "payload"));
         wal_->LogCommit(txn, i + 1);
         wal_->WaitCommitDurable(txn);
         if (!wal_->CommitDurable(txn)) failed.store(true);

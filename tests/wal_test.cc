@@ -48,7 +48,7 @@ TEST(WalRecordTest, TornTailDetected) {
 }
 
 TEST(WalRecordTest, DataPayloadRoundTrip) {
-  std::string p = WalRecordCodec::DataPayload(12, 3456, "row-bytes");
+  std::string p = DataPayload(12, 3456, "row-bytes");
   RelationId rel = 0;
   RowId rid = 0;
   Slice body;
@@ -92,7 +92,7 @@ TEST_F(WalManagerTest, CommitBecomesDurable) {
   BufferFrame frame;
   uint64_t gsn = wal_->OnPageWrite(txn, &frame);
   wal_->LogData(txn, WalRecordType::kInsert, gsn,
-                WalRecordCodec::DataPayload(1, 1, "row"));
+                DataPayload(1, 1, "row"));
   wal_->LogCommit(txn, 123);
   wal_->WaitCommitDurable(txn);
   EXPECT_TRUE(wal_->CommitDurable(txn));
@@ -119,7 +119,7 @@ TEST_F(WalManagerTest, RfaSkipsDurableRemoteWrites) {
   BufferFrame frame;
   uint64_t gsn = wal_->OnPageWrite(txn, &frame);
   wal_->LogData(txn, WalRecordType::kInsert, gsn,
-                WalRecordCodec::DataPayload(1, 1, "row"));
+                DataPayload(1, 1, "row"));
   wal_->LogCommit(txn, 5);
   wal_->WaitCommitDurable(txn);
 
@@ -159,17 +159,17 @@ TEST_F(WalManagerTest, RecoveryScanOrdersByGsnAndFiltersUncommitted) {
   Transaction* t1 = MakeTxn(0);
   uint64_t g1 = wal_->OnPageWrite(t1, &page_a);
   wal_->LogData(t1, WalRecordType::kInsert, g1,
-                WalRecordCodec::DataPayload(1, 1, "r1"));
+                DataPayload(1, 1, "r1"));
   // txn2 on writer 1: touches the same page (higher GSN), commits.
   Transaction* t2 = MakeTxn(1);
   uint64_t g2 = wal_->OnPageWrite(t2, &page_a);
   wal_->LogData(t2, WalRecordType::kUpdate, g2,
-                WalRecordCodec::DataPayload(1, 1, "r1v2"));
+                DataPayload(1, 1, "r1v2"));
   // txn3 on writer 0: never commits.
   Transaction* t3 = MakeTxn(2);
   uint64_t g3 = wal_->OnPageWrite(t3, &page_b);
   wal_->LogData(t3, WalRecordType::kInsert, g3,
-                WalRecordCodec::DataPayload(1, 2, "r2"));
+                DataPayload(1, 2, "r2"));
 
   wal_->LogCommit(t1, 100);
   wal_->LogCommit(t2, 101);
@@ -207,7 +207,7 @@ TEST_F(WalManagerTest, TruncateAllResets) {
   BufferFrame frame;
   uint64_t g = wal_->OnPageWrite(t1, &frame);
   wal_->LogData(t1, WalRecordType::kInsert, g,
-                WalRecordCodec::DataPayload(1, 1, "r"));
+                DataPayload(1, 1, "r"));
   wal_->LogCommit(t1, 9);
   wal_->WaitCommitDurable(t1);
   ASSERT_OK(wal_->TruncateAll());
@@ -223,7 +223,7 @@ TEST_F(WalManagerTest, ScanToleratesTornTail) {
   BufferFrame frame;
   uint64_t g = wal_->OnPageWrite(t1, &frame);
   wal_->LogData(t1, WalRecordType::kInsert, g,
-                WalRecordCodec::DataPayload(1, 1, "good"));
+                DataPayload(1, 1, "good"));
   wal_->LogCommit(t1, 7);
   wal_->WaitCommitDurable(t1);
   wal_.reset();  // close manager (drains)
