@@ -18,9 +18,11 @@ enum class FrameState : uint8_t {
   kCooling = 2,  // resident, staged in the cooling FIFO
 };
 
-/// A buffer frame: header + kPageSize of page content. Frames are allocated
-/// in per-partition arenas (Section 7.1: buffer management is partitioned by
-/// worker to avoid cross-thread contention).
+/// A buffer frame descriptor: 128 bytes of header pointing at kPageSize of
+/// page content. The pool keeps the descriptors in one dense array and the
+/// pages in a separate lazily committed region (DESIGN.md 4i), each
+/// partition owning a contiguous run of both (Section 7.1: buffer
+/// management is partitioned by worker to avoid cross-thread contention).
 struct alignas(64) BufferFrame {
   /// Protects the page content (hybrid: optimistic traversal, pessimistic
   /// leaf operations).
@@ -69,8 +71,8 @@ struct alignas(64) BufferFrame {
   /// twin table, and by ResetHeader.
   std::atomic<bool> twin_registered{false};
 
-  /// Page content.
-  alignas(64) char page[kPageSize];
+  /// Page content (kPageSize bytes, 4 KiB-aligned), owned by the pool.
+  char* page = nullptr;
 
   void Touch(uint32_t epoch) {
     access_count.fetch_add(1, std::memory_order_relaxed);
@@ -91,6 +93,8 @@ struct alignas(64) BufferFrame {
     last_access_epoch.store(0, std::memory_order_relaxed);
   }
 };
+
+static_assert(sizeof(BufferFrame) == 128, "frame descriptor is two lines");
 
 }  // namespace phoebe
 

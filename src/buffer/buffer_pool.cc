@@ -1,11 +1,13 @@
 #include "buffer/buffer_pool.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cstring>
+#include <new>
 
 #include "common/crc32.h"
 #include "storage/node.h"
-#include <new>
 
 namespace phoebe {
 
@@ -15,32 +17,32 @@ BufferPool::BufferPool(const Options& options, PageFile* page_file)
       low_watermark_(options.free_low_watermark) {
   uint32_t nparts = std::max<uint32_t>(1, options.partitions);
   size_t total_frames =
-      std::max<size_t>(nparts * 8, options.buffer_bytes / sizeof(BufferFrame));
+      std::max<size_t>(nparts * 8, options.buffer_bytes / kBytesPerFrame);
   frames_per_partition_ = total_frames / nparts;
-  total_frames = frames_per_partition_ * nparts;
+  num_frames_ = frames_per_partition_ * nparts;
 
-  arena_.reset(new char[total_frames * sizeof(BufferFrame) + 64]);
-  // Align arena start to 64 bytes.
-  char* base = arena_.get();
-  uintptr_t misalign = reinterpret_cast<uintptr_t>(base) & 63;
-  if (misalign != 0) base += 64 - misalign;
+  // Anonymous private memory is page-aligned and reads as zero until first
+  // written; MAP_NORESERVE keeps untouched pages out of the commit charge.
+  void* region = mmap(nullptr, num_frames_ * kPageSize, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (region == MAP_FAILED) throw std::bad_alloc();
+  pages_ = static_cast<char*>(region);
+  frames_.reset(new BufferFrame[num_frames_]);
 
-  all_frames_.reserve(total_frames);
   parts_.reserve(nparts);
   for (uint32_t p = 0; p < nparts; ++p) {
     parts_.push_back(std::make_unique<Partition>());
+    parts_.back()->free_list.reserve(frames_per_partition_);
   }
-  for (size_t i = 0; i < total_frames; ++i) {
-    auto* bf = new (base + i * sizeof(BufferFrame)) BufferFrame();
+  for (size_t i = 0; i < num_frames_; ++i) {
+    BufferFrame* bf = &frames_[i];
+    bf->page = pages_ + i * kPageSize;
     bf->partition = static_cast<uint16_t>(i / frames_per_partition_);
-    all_frames_.push_back(bf);
     parts_[bf->partition]->free_list.push_back(bf);
   }
 }
 
-BufferPool::~BufferPool() {
-  for (auto* bf : all_frames_) bf->~BufferFrame();
-}
+BufferPool::~BufferPool() { munmap(pages_, num_frames_ * kPageSize); }
 
 BufferFrame* BufferPool::AllocateFrame(uint32_t partition) {
   uint32_t nparts = partitions();

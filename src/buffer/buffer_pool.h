@@ -18,11 +18,17 @@ namespace phoebe {
 
 /// Partitioned buffer pool (Section 7.1: each worker thread manages its own
 /// buffer pool partition and handles page swaps locally). The pool owns the
-/// frame arenas, the free lists, and the cooling FIFOs; the B-Tree layer owns
-/// the swizzling policy (which pages to cool/evict) because only it can
-/// locate parent swips safely.
+/// frame descriptors, the page region, the free lists, and the cooling
+/// FIFOs; the B-Tree layer owns the swizzling policy (which pages to
+/// cool/evict) because only it can locate parent swips safely.
+///
+/// The page region is one anonymous mapping that the OS commits on first
+/// touch, so resident memory follows the pages in use, not `buffer_bytes`.
 class BufferPool {
  public:
+  /// Memory `buffer_bytes` is charged per frame: descriptor plus page.
+  static constexpr size_t kBytesPerFrame = sizeof(BufferFrame) + kPageSize;
+
   struct Options {
     uint64_t buffer_bytes = 64ull << 20;  // total across partitions
     uint32_t partitions = 1;
@@ -88,15 +94,15 @@ class BufferPool {
   /// probing). `idx` is taken modulo the partition size.
   BufferFrame* FrameAt(uint32_t partition, size_t idx) {
     partition %= partitions();
-    return all_frames_[partition * frames_per_partition_ +
-                       (idx % frames_per_partition_)];
+    return &frames_[partition * frames_per_partition_ +
+                    (idx % frames_per_partition_)];
   }
 
   /// Invokes `fn` on every frame in the pool. Teardown/diagnostics only:
   /// takes no latches, so all concurrent frame users must be quiesced.
   template <typename Fn>
   void ForEachFrame(Fn fn) {
-    for (BufferFrame* bf : all_frames_) fn(bf);
+    for (size_t i = 0; i < num_frames_; ++i) fn(&frames_[i]);
   }
 
   size_t FreeFrames(uint32_t partition) const;
@@ -135,8 +141,9 @@ class BufferPool {
   PageFile* page_file_;
   AsyncIoEngine io_;
   std::vector<std::unique_ptr<Partition>> parts_;
-  std::unique_ptr<char[]> arena_;
-  std::vector<BufferFrame*> all_frames_;
+  std::unique_ptr<BufferFrame[]> frames_;  // dense descriptor array
+  char* pages_ = nullptr;                  // page region, kPageSize per frame
+  size_t num_frames_ = 0;
   size_t frames_per_partition_ = 0;
   double low_watermark_;
   std::atomic<uint32_t> epoch_{1};

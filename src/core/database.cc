@@ -455,6 +455,7 @@ Status Database::Commit(OpContext* ctx, Transaction* txn) {
     lock_table_->ReleaseAll(txn->xid(), held);
     held.clear();
   }
+  ReclaimAuxSlot(txn->slot_id(), /*rolled_back=*/0);
   return Status::OK();
 }
 
@@ -466,6 +467,7 @@ Status Database::Abort(OpContext* ctx, Transaction* txn) {
   // Roll back newest-to-oldest via the in-memory UNDO list; runs
   // synchronously (rollback paths never yield).
   Status result = Status::OK();
+  const size_t rolled_back = txn->undo_count();
   UndoRecord* rec = txn->undo_head();
   auto& arena = txn_mgr_->slot(txn->slot_id()).arena;
   while (rec != nullptr) {
@@ -486,7 +488,18 @@ Status Database::Abort(OpContext* ctx, Transaction* txn) {
     lock_table_->ReleaseAll(txn->xid(), held);
     held.clear();
   }
+  ReclaimAuxSlot(txn->slot_id(), rolled_back);
   return result;
+}
+
+void Database::ReclaimAuxSlot(uint32_t slot_id, size_t rolled_back) {
+  if (slot_id < aux_slot(0)) return;  // its scheduler worker collects it
+  if (!EnterHook()) return;  // checkpoint walk: the next commit catches up
+  size_t freed = rolled_back + txn_mgr_->RunUndoGc(slot_id);
+  // Reclaimed records are what let a twin table's chains die, so a commit
+  // that freed nothing has nothing new for the sweep to find.
+  if (freed > 0) txn_mgr_->SweepTwinTables();
+  ExitHook();
 }
 
 // ---------------------------------------------------------------------------
@@ -548,34 +561,41 @@ Scheduler::Hooks Database::MakeSchedulerHooks() {
       OpContext ctx;
       ctx.synchronous = true;
       ctx.count_accesses = false;
-      std::lock_guard<std::mutex> lk(ddl_mu_);
-      for (auto& t : tables_) {
-        (void)t->FreezePass(&ctx, /*max_leaves=*/4);
-      }
-      // Read-warming (Section 5.2 case 3): frozen blocks whose read count
-      // crossed the threshold come back to hot storage under a maintenance
-      // transaction on the last aux slot. BeginMaybe, not Begin: a hook
-      // blocked on the checkpoint admission gate would deadlock against
-      // PauseHooks waiting for this hook to finish.
-      uint32_t slot = aux_slot(options_.aux_slots - 1);
-      if (txn_mgr_->slot(slot).active_xid.load(std::memory_order_acquire) ==
-          0) {
-        Transaction* txn = txn_mgr_->BeginMaybe(slot, options_.default_isolation);
+      Transaction* txn = nullptr;
+      bool warmed_any = false;
+      {
+        std::lock_guard<std::mutex> lk(ddl_mu_);
+        for (auto& t : tables_) {
+          (void)t->FreezePass(&ctx, /*max_leaves=*/4);
+        }
+        // Read-warming (Section 5.2 case 3): frozen blocks whose read count
+        // crossed the threshold come back to hot storage under a
+        // maintenance transaction on the last aux slot. BeginMaybe, not
+        // Begin: a hook blocked on the checkpoint admission gate would
+        // deadlock against PauseHooks waiting for this hook to finish.
+        uint32_t slot = aux_slot(options_.aux_slots - 1);
+        if (txn_mgr_->slot(slot).active_xid.load(std::memory_order_acquire) ==
+            0) {
+          txn = txn_mgr_->BeginMaybe(slot, options_.default_isolation);
+        }
         if (txn != nullptr) {
           if (options_.baseline_pg_snapshot) {
             PgSnapshot snap = pg_snapshots_->Take();
             txn_mgr_->SetSnapshot(txn, snap.xmax);
           }
-          bool warmed_any = false;
           for (auto& t : tables_) {
             Status st = t->WarmPass(&ctx, txn, /*max_rows=*/256);
             if (st.ok() && txn->undo_count() > 0) warmed_any = true;
           }
-          if (warmed_any) {
-            (void)Commit(&ctx, txn);
-          } else {
-            (void)Abort(&ctx, txn);
-          }
+        }
+      }
+      // Outside ddl_mu_: rollback and the reclaim at the end of Commit and
+      // Abort look tables up by id.
+      if (txn != nullptr) {
+        if (warmed_any) {
+          (void)Commit(&ctx, txn);
+        } else {
+          (void)Abort(&ctx, txn);
         }
       }
     }

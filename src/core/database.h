@@ -202,6 +202,13 @@ class Database {
   /// Returns non-OK when the test crash hook fires at `point`.
   Status CrashPoint(const char* point);
 
+  /// Reclaims an aux slot at the end of its Commit or Abort: no scheduler
+  /// worker collects aux slots, so the finishing transaction runs the
+  /// slot's UNDO GC and, when that or its own rollback freed records,
+  /// sweeps twin tables. Inside the hook pause barrier; scheduler slots
+  /// return at once. `rolled_back` counts records the Abort freed.
+  void ReclaimAuxSlot(uint32_t slot_id, size_t rolled_back);
+
   /// Scheduler-hook pause barrier: the checkpoint walk mutates pages and
   /// swips latch-free, so no housekeeping hook may run concurrently.
   bool EnterHook();

@@ -43,7 +43,6 @@ struct LoadCtx {
     Status st = db->Commit(&op, txn);
     txn = nullptr;
     pending = 0;
-    Housekeep();
     return st;
   }
 
@@ -52,25 +51,8 @@ struct LoadCtx {
     Status st = db->Commit(&op, txn);
     txn = nullptr;
     pending = 0;
-    Housekeep();
     return st;
   }
-
-  /// The loader runs outside the scheduler, so it performs its own GC and
-  /// twin-table sweeps — otherwise twin tables pin every touched page and
-  /// small buffer pools run out of evictable frames mid-load.
-  void Housekeep() {
-    db->txn_manager()->RunUndoGc(slot);
-    if (++batches_since_sweep >= 4) {
-      batches_since_sweep = 0;
-      db->txn_manager()->SweepTwinTables();
-      if (db->pool()->NeedsEviction(op.partition)) {
-        (void)db->registry()->EnsureFreeFrames(&op, op.partition);
-      }
-    }
-  }
-
-  int batches_since_sweep = 0;
 
   Status Insert(Table* table, const RowBuilder& builder) {
     Result<std::string> row = builder.Encode();

@@ -1,4 +1,8 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <fstream>
 
 #include "buffer/buffer_pool.h"
 #include "buffer/swip.h"
@@ -72,6 +76,42 @@ TEST_F(BufferPoolTest, AllocateAndFree) {
   EXPECT_EQ(pool_->FreeFrames(0), free_before - 1);
   pool_->FreeFrame(bf);
   EXPECT_EQ(pool_->FreeFrames(0), free_before);
+}
+
+size_t ResidentBytes() {
+  std::ifstream statm("/proc/self/statm");
+  size_t size_pages = 0, resident_pages = 0;
+  statm >> size_pages >> resident_pages;
+  return resident_pages * static_cast<size_t>(sysconf(_SC_PAGESIZE));
+}
+
+// The page region is committed by the OS on first touch: constructing a
+// pool costs its descriptors, not `buffer_bytes`. Pages are 4 KiB-aligned,
+// disjoint, zero, and as many as a frame of descriptor + page allows.
+TEST_F(BufferPoolTest, PageRegionIsCommittedLazily) {
+  constexpr uint64_t kBytes = 256ull << 20;
+  const size_t before = ResidentBytes();
+  Open(kBytes);
+  const size_t after = ResidentBytes();
+  EXPECT_LT(after, before + (16ull << 20));
+
+  EXPECT_EQ(pool_->frames_per_partition() * pool_->partitions(),
+            kBytes / 16512);
+  std::vector<uintptr_t> pages;
+  pool_->ForEachFrame([&](BufferFrame* bf) {
+    pages.push_back(reinterpret_cast<uintptr_t>(bf->page));
+  });
+  ASSERT_EQ(pages.size(), kBytes / 16512);
+  std::sort(pages.begin(), pages.end());
+  for (size_t i = 0; i < pages.size(); ++i) {
+    ASSERT_EQ(pages[i] % 4096, 0u) << i;
+    if (i > 0) ASSERT_GE(pages[i] - pages[i - 1], kPageSize) << i;
+  }
+
+  BufferFrame* bf = pool_->AllocateFrame(0);
+  ASSERT_NE(bf, nullptr);
+  EXPECT_EQ(bf->page[0], 0);
+  EXPECT_EQ(bf->page[kPageSize - 1], 0);
 }
 
 TEST_F(BufferPoolTest, ExhaustionReturnsNull) {

@@ -18,12 +18,12 @@ Schema AccountSchema() {
 
 class DatabaseTest : public ::testing::Test {
  protected:
-  void Open(DatabaseOptions opts = {}) {
+  void Open(DatabaseOptions opts = {}, uint64_t buffer_bytes = 16ull << 20) {
     dir_ = std::make_unique<TestDir>("database");
     opts.path = dir_->path();
     opts.workers = 2;
     opts.slots_per_worker = 4;
-    opts.buffer_bytes = 16ull << 20;
+    opts.buffer_bytes = buffer_bytes;
     auto db = Database::Open(opts);
     ASSERT_OK_R(db);
     db_ = std::move(db.value());
@@ -329,7 +329,9 @@ TEST_F(DatabaseTest, LockFilePreventsDoubleOpen) {
 TEST_F(DatabaseTest, CheckpointRequiresQuiescence) {
   Open();
   Table* t = db_->CreateTable("accounts", AccountSchema()).value();
-  Transaction* txn = db_->Begin(db_->aux_slot());
+  // A scheduler slot: its undo waits for its worker (none runs here), where
+  // an aux slot would reclaim it at commit.
+  Transaction* txn = db_->Begin(0);
   RowId rid = 0;
   ASSERT_OK(t->Insert(&ctx_, txn, MakeRow(t, 1, "a", 1.0), &rid));
   EXPECT_TRUE(db_->CheckpointNow().IsAborted());  // active txn
@@ -337,6 +339,45 @@ TEST_F(DatabaseTest, CheckpointRequiresQuiescence) {
   EXPECT_TRUE(db_->CheckpointNow().IsAborted());  // un-reclaimed undo
   db_->DrainGc();
   ASSERT_OK(db_->CheckpointNow());
+}
+
+// No scheduler worker collects aux slots, so a synchronous load on one
+// relies on Commit reclaiming the slot's UNDO and sweeping the twin tables
+// that would otherwise pin every written page. With no GC call anywhere, a
+// load of twice the pool must evict its way through and leave no live UNDO.
+TEST_F(DatabaseTest, AuxSlotLoadReclaimsAtCommit) {
+  constexpr uint64_t kBuffer = 8ull << 20;
+  constexpr int64_t kRows = 128 * 1024;
+  constexpr int64_t kBatch = 1000;
+  Open({}, kBuffer);
+  Table* t = db_->CreateTable("accounts", AccountSchema()).value();
+  ASSERT_OK(db_->CreateIndex("accounts", "pk", {0}, true));
+  const std::string notes(100, 'x');
+  uint64_t row_bytes = 0;
+  for (int64_t base = 0; base < kRows; base += kBatch) {
+    Transaction* txn = db_->Begin(db_->aux_slot());
+    for (int64_t id = base; id < std::min(kRows, base + kBatch); ++id) {
+      RowBuilder b(&t->schema());
+      b.SetInt64(0, id).SetString(1, "owner").SetDouble(2, 1.0).SetString(
+          3, notes);
+      std::string row = b.Encode().value();
+      row_bytes += row.size();
+      RowId rid = 0;
+      ASSERT_OK(t->Insert(&ctx_, txn, row, &rid));
+    }
+    ASSERT_OK(db_->Commit(&ctx_, txn));
+  }
+  EXPECT_GE(row_bytes, 2 * kBuffer);
+  EXPECT_EQ(db_->txn_manager()->TotalLiveUndo(), 0u);
+  EXPECT_GT(db_->GetStats().buffer_evictions, 0u);
+
+  Transaction* reader = db_->Begin(db_->aux_slot());
+  for (int64_t id : {int64_t{0}, kRows / 2, kRows - 1}) {
+    RowId rid = 0;
+    ASSERT_OK(t->IndexGetRef(&ctx_, reader, 0, {Value::Int64(id)}, &rid,
+                             nullptr));
+  }
+  ASSERT_OK(db_->Commit(&ctx_, reader));
 }
 
 TEST_F(DatabaseTest, StatsSurface) {
