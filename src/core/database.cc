@@ -434,7 +434,10 @@ Status Database::Commit(OpContext* ctx, Transaction* txn) {
     // discarded: its commit record never became durable).
     if (wal_->fail_stopped()) return wal_->fail_stop_status();
     Timestamp cts = txn_mgr_->PrepareCommit(txn);
-    wal_->LogCommit(txn, cts);
+    // A transaction that logged nothing leaves recovery nothing to replay,
+    // so it logs no commit either. With last_lsn 0 its durability check is
+    // only the RFA remote-dependency test: what it read must be durable.
+    if (txn->last_lsn != 0) wal_->LogCommit(txn, cts);
   }
   if (!wal_->CommitDurable(txn)) {
     if (!ctx->synchronous) {
@@ -480,8 +483,8 @@ Status Database::Abort(OpContext* ctx, Transaction* txn) {
     arena.FreeAborted(rec);
     rec = next;
   }
-  WalWriter& w = wal_->WriterFor(txn->slot_id());
-  w.Append(WalRecordType::kAbort, txn->xid(), w.LoadGsn(), Slice());
+  // No abort record: recovery drops the records of a transaction that has
+  // no commit record.
   txn_mgr_->FinishTransaction(txn, /*committed=*/false);
   if (options_.baseline_global_lock_table) {
     auto& held = held_locks_[txn->slot_id()];

@@ -43,7 +43,8 @@ class Transaction {
 
   /// --- WAL / RFA commit-dependency tracking (Section 8) --------------------
 
-  /// LSN of this transaction's last record in its slot's WAL writer.
+  /// LSN of this transaction's last record in its slot's WAL writer; 0 if
+  /// it logged nothing (LSNs start at 1), which is a read-only transaction.
   uint64_t last_lsn = 0;
   /// Highest GSN this transaction produced or observed.
   uint64_t max_gsn = 0;

@@ -15,15 +15,13 @@ class Arena;
 
 /// Logical WAL record types. PhoebeDB logs logical redo (operation + row
 /// payload); recovery replays committed transactions' records in GSN order
-/// (see DESIGN.md for the recovery-model substitution).
+/// (see DESIGN.md for the recovery-model substitution). Aborts and read-only
+/// commits log nothing: recovery drops records without a commit.
 enum class WalRecordType : uint8_t {
   kInsert = 1,      // payload: [varint rel][varint rid][row bytes]
   kUpdate = 2,      // payload: [varint rel][varint rid][after-image delta]
   kDelete = 3,      // payload: [varint rel][varint rid]
   kCommit = 4,      // payload: [varint cts]
-  kAbort = 5,       // payload: empty
-  kIndexInsert = 6, // payload: [varint rel][varint rid][key bytes]
-  kIndexRemove = 7, // payload: [varint rel][varint rid][key bytes]
 };
 
 /// A parsed WAL record (recovery side).
@@ -36,37 +34,100 @@ struct WalRecord {
   std::string payload;
 };
 
-/// On-disk framing:
-///   [u32 frame_len][u32 masked crc over the rest]
-///   [u8 type][u64 lsn][u64 gsn][u64 xid][payload]
+/// On-disk framing (DESIGN.md §4c). A writer's log file is a sequence of
+/// blocks, one per flushed writer buffer, or one for a record larger than
+/// the buffer:
+///
+///   block  = [u32 body_len][u32 masked crc32c of body][body]
+///   body   = [varint first_lsn][record]...
+///   record = [u8 type | kSameXid][varint payload_len]
+///            [varint zigzag(gsn - gsn of the previous record in the block)]
+///            [varint XidStartTs(xid), only without kSameXid][payload]
+///
+/// The first record of a block codes its gsn against 0 and always carries
+/// its xid. The i-th record of a block has LSN first_lsn + i. Xids must be
+/// MakeXid() values: only the start timestamp is stored.
+class WalBlockCodec {
+ public:
+  /// [u32 body_len][u32 crc]; the body then starts with varint first_lsn.
+  static constexpr size_t kBlockPrefix = 8;
+  static constexpr size_t kMaxBlockHeader = kBlockPrefix + 10;
+  /// Type byte, varint32 payload length, varint64 gsn delta, varint64 xid
+  /// start timestamp (62 bits).
+  static constexpr size_t kMaxRecordHeader = 1 + 5 + 10 + 9;
+  static constexpr uint8_t kSameXid = 0x80;
+
+  static size_t BlockHeaderSize(uint64_t first_lsn);
+
+  /// The previous record of an open block, which the next header is coded
+  /// against.
+  struct Cursor {
+    uint64_t prev_gsn = 0;
+    Xid prev_xid = 0;
+    uint32_t records = 0;
+
+    void Advance(uint64_t gsn, Xid xid) {
+      prev_gsn = gsn;
+      prev_xid = xid;
+      ++records;
+    }
+  };
+
+  /// One record's header, sized against a block's cursor.
+  struct RecordHeader {
+    uint8_t tag = 0;
+    uint32_t payload_len = 0;
+    uint64_t gsn_delta = 0;  // zigzag-coded
+    uint64_t xid_ts = 0;     // written only without kSameXid
+    size_t size = 0;         // encoded bytes of the header
+
+    size_t record_size() const { return size + payload_len; }
+  };
+
+  static RecordHeader MakeHeader(const Cursor& cursor, WalRecordType type,
+                                 uint64_t gsn, Xid xid, size_t payload_len);
+
+  /// Writes header + payload to `dst`, which must hold h.record_size()
+  /// bytes.
+  static void EncodeRecord(const RecordHeader& h, Slice payload, char* dst);
+
+  /// Fills in the header of the `block_size`-byte block at `block`, whose
+  /// first BlockHeaderSize(first_lsn) bytes were reserved for it: body
+  /// length, first LSN and the CRC over the body.
+  static void SealBlock(char* block, size_t block_size, uint64_t first_lsn);
+
+  /// Parses the block at the front of `input`, appends its records to
+  /// `out`, and advances `input`. kNotFound on a clean end; kCorruption on a
+  /// torn or garbage block, leaving `out` as it was.
+  static Status DecodeBlock(Slice* input, uint32_t writer_id,
+                            std::vector<WalRecord>* out);
+};
+
+/// Encodes one block into a string: records larger than a writer buffer,
+/// and tests and benchmarks that need log bytes without a writer.
+class WalBlockBuilder {
+ public:
+  /// Starts a block at the end of `out`.
+  WalBlockBuilder(uint64_t first_lsn, std::string* out);
+
+  /// Appends the next record; its LSN is first_lsn + records added before.
+  void Add(WalRecordType type, uint64_t gsn, Xid xid, Slice payload);
+
+  /// Fills in the block header. Add at least one record first.
+  void Finish();
+
+ private:
+  std::string* out_;
+  size_t start_;
+  uint64_t first_lsn_;
+  WalBlockCodec::Cursor cursor_;
+};
+
+/// Record payload helpers.
 class WalRecordCodec {
  public:
-  static constexpr size_t kFrameHeader = 8;
-
-  /// Fixed body prefix: [u8 type][u64 lsn][u64 gsn][u64 xid].
-  static constexpr size_t kBodyPrefix = 25;
-
-  /// Appends an encoded frame to `out`.
-  static void Encode(WalRecordType type, uint64_t lsn, uint64_t gsn, Xid xid,
-                     Slice payload, std::string* out);
-
-  /// Exact on-disk size of a frame carrying `payload_size` payload bytes.
-  static constexpr size_t EncodedSize(size_t payload_size) {
-    return kFrameHeader + kBodyPrefix + payload_size;
-  }
-
-  /// Encodes a frame into `dst`, which must hold EncodedSize(payload.size())
-  /// bytes. Used by the reservation-based WAL append path to encode outside
-  /// the writer's critical section. Returns the number of bytes written.
-  static size_t EncodeTo(WalRecordType type, uint64_t lsn, uint64_t gsn,
-                         Xid xid, Slice payload, char* dst);
-
-  /// Parses one frame at the front of `input`; advances it. kNotFound on a
-  /// clean end, kCorruption on a torn/garbage frame.
-  static Status DecodeNext(Slice* input, uint32_t writer_id, WalRecord* out);
-
-  /// Payload helpers. DataPayloadTo writes into `arena` (on the DML path
-  /// the transaction arena; LogData copies the payload within the call).
+  /// DataPayloadTo writes into `arena` (on the DML path the transaction
+  /// arena; LogData copies the payload within the call).
   static Slice DataPayloadTo(RelationId rel, RowId rid, Slice body,
                              Arena* arena);
   static Status ParseDataPayload(Slice payload, RelationId* rel, RowId* rid,

@@ -50,29 +50,32 @@ Result<WalRecovery::ScanResult> WalRecovery::Scan(Env* env,
     }
     out.bytes_scanned += size;
     Slice input(buf.data(), size);
+    std::vector<WalRecord> block;
     for (;;) {
-      WalRecord rec;
-      Status ds = WalRecordCodec::DecodeNext(&input, writer_id, &rec);
+      block.clear();
+      Status ds = WalBlockCodec::DecodeBlock(&input, writer_id, &block);
       if (ds.IsNotFound()) break;
       if (ds.IsCorruption()) {
-        // Torn tail: the crash interrupted the last append. Keep the clean
-        // prefix; everything before it decoded with a valid CRC.
+        // Torn tail: the crash interrupted the last block's write. Keep the
+        // clean prefix; every block before it decoded with a valid CRC. No
+        // acknowledged commit is lost with the torn block: a commit is
+        // acknowledged only after the flush that wrote its block completed.
         out.torn_tails += 1;
         break;
       }
       if (!ds.ok()) return R(ds);
-      out.total_records += 1;
-      // max_ts must cover watermark-skipped records too: the restarted
-      // clock has to stay above all pre-checkpoint history.
-      out.max_ts = std::max(out.max_ts, XidStartTs(rec.xid));
-      if (rec.type == WalRecordType::kCommit) {
-        Timestamp cts = 0;
-        Status ps = WalRecordCodec::ParseCommitPayload(rec.payload, &cts);
-        if (!ps.ok()) return R(ps);
-        out.commits[rec.xid] = cts;
-        out.max_ts = std::max(out.max_ts, cts);
-      } else if (rec.type != WalRecordType::kAbort) {
-        if (rec.gsn <= watermark_gsn) {
+      for (WalRecord& rec : block) {
+        out.total_records += 1;
+        // max_ts must cover watermark-skipped records too: the restarted
+        // clock has to stay above all pre-checkpoint history.
+        out.max_ts = std::max(out.max_ts, XidStartTs(rec.xid));
+        if (rec.type == WalRecordType::kCommit) {
+          Timestamp cts = 0;
+          Status ps = WalRecordCodec::ParseCommitPayload(rec.payload, &cts);
+          if (!ps.ok()) return R(ps);
+          out.commits[rec.xid] = cts;
+          out.max_ts = std::max(out.max_ts, cts);
+        } else if (rec.gsn <= watermark_gsn) {
           // Already reflected in the checkpoint image this watermark came
           // from. Quiescence at the cut guarantees no transaction straddles
           // it, so skipping by GSN never splits a transaction.

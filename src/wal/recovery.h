@@ -14,7 +14,7 @@
 namespace phoebe {
 
 /// Crash-recovery scan over the per-slot WAL files (Section 8 + DESIGN.md
-/// recovery model): parses every writer's log up to its first torn record,
+/// recovery model): parses every writer's log up to its first torn block,
 /// determines the committed transaction set, and yields the committed data
 /// records ordered by (GSN, writer, LSN) — the Distributed-Logging merge
 /// order the paper describes.
@@ -35,7 +35,7 @@ class WalRecovery {
     uint64_t skipped_checkpointed = 0;
     /// Total WAL bytes read by the scan.
     uint64_t bytes_scanned = 0;
-    /// Files whose scan stopped at a torn (corrupt) tail record. Torn tails
+    /// Files whose scan stopped at a torn (corrupt) tail block. Torn tails
     /// are expected after a crash and recovery keeps the clean prefix; a
     /// mid-log read error, by contrast, fails the whole scan — a flaky disk
     /// must never silently truncate history.

@@ -24,14 +24,8 @@ WalWriter::WalWriter(uint32_t id, std::unique_ptr<File> file,
   active_ = &bufs_[0];
 }
 
-uint64_t WalWriter::ReserveMetadata(LogBuffer* b, WalRecordType type,
-                                    uint64_t gsn, size_t len) {
+uint64_t WalWriter::AssignLsn(WalRecordType type, uint64_t gsn) {
   uint64_t lsn = next_lsn_++;
-  b->reserved += len;
-  b->last_lsn = lsn;
-  ++b->records;
-  if (b->min_gsn == 0 || gsn < b->min_gsn) b->min_gsn = gsn;
-  b->max_gsn = std::max(b->max_gsn, gsn);
   uint64_t fp = first_pending_gsn_.load(std::memory_order_relaxed);
   if (fp == 0 || gsn < fp) {
     first_pending_gsn_.store(gsn, std::memory_order_release);
@@ -41,7 +35,6 @@ uint64_t WalWriter::ReserveMetadata(LogBuffer* b, WalRecordType type,
       std::memory_order_release);
   appended_lsn_.store(lsn, std::memory_order_release);
   if (type == WalRecordType::kCommit) {
-    b->has_commit = true;
     commit_pending_.store(true, std::memory_order_release);
   }
   return lsn;
@@ -49,23 +42,40 @@ uint64_t WalWriter::ReserveMetadata(LogBuffer* b, WalRecordType type,
 
 uint64_t WalWriter::Append(WalRecordType type, Xid xid, uint64_t gsn,
                            Slice payload) {
-  const size_t len = WalRecordCodec::EncodedSize(payload.size());
   if (mgr_ != nullptr) {
     mgr_->pstats_.appends.fetch_add(1, std::memory_order_relaxed);
   }
-  if (len > bufs_[0].capacity) {
-    return AppendOversize(type, xid, gsn, payload, len);
+  if (WalBlockCodec::kMaxBlockHeader + WalBlockCodec::kMaxRecordHeader +
+          payload.size() >
+      bufs_[0].capacity) {
+    return AppendOversize(type, xid, gsn, payload);
   }
   LogBuffer* b = nullptr;
   char* dst = nullptr;
   uint64_t lsn = 0;
+  WalBlockCodec::RecordHeader h;
   for (;;) {
     {
       std::lock_guard<std::mutex> lk(mu_);
-      if (active_->reserved + len <= active_->capacity) {
-        b = active_;
+      b = active_;
+      // The header codes gsn and xid against the block's previous record,
+      // so it is sized here, in LSN order.
+      h = WalBlockCodec::MakeHeader(b->block, type, gsn, xid, payload.size());
+      const size_t block_header =
+          b->empty() ? WalBlockCodec::BlockHeaderSize(next_lsn_) : 0;
+      if (b->reserved + block_header + h.record_size() <= b->capacity) {
+        if (block_header != 0) {
+          b->first_lsn = next_lsn_;
+          b->reserved = block_header;
+          b->filled.fetch_add(block_header, std::memory_order_relaxed);
+        }
         dst = b->data.get() + b->reserved;
-        lsn = ReserveMetadata(b, type, gsn, len);
+        lsn = AssignLsn(type, gsn);
+        b->reserved += h.record_size();
+        b->block.Advance(gsn, xid);
+        if (b->min_gsn == 0 || gsn < b->min_gsn) b->min_gsn = gsn;
+        b->max_gsn = std::max(b->max_gsn, gsn);
+        if (type == WalRecordType::kCommit) b->has_commit = true;
         break;
       }
     }
@@ -87,8 +97,8 @@ uint64_t WalWriter::Append(WalRecordType type, Xid xid, uint64_t gsn,
   }
   // Encode outside the critical section; publish completion so the flusher
   // can seal past this reservation.
-  WalRecordCodec::EncodeTo(type, lsn, gsn, xid, payload, dst);
-  b->filled.fetch_add(len, std::memory_order_release);
+  WalBlockCodec::EncodeRecord(h, payload, dst);
+  b->filled.fetch_add(h.record_size(), std::memory_order_release);
   if (type == WalRecordType::kCommit && mgr_ != nullptr) {
     mgr_->KickFlusher();
   }
@@ -96,57 +106,57 @@ uint64_t WalWriter::Append(WalRecordType type, Xid xid, uint64_t gsn,
 }
 
 uint64_t WalWriter::AppendOversize(WalRecordType type, Xid xid, uint64_t gsn,
-                                   Slice payload, size_t len) {
+                                   Slice payload) {
   if (mgr_ != nullptr) {
     mgr_->pstats_.oversize_appends.fetch_add(1, std::memory_order_relaxed);
   }
   std::lock_guard<std::mutex> flush_lk(flush_mu_);
   std::unique_lock<std::mutex> lk(mu_);
-  // Drain the active buffer in place so file bytes stay in LSN order (the
-  // shadow is already empty: flush_mu_ holders always drain before release).
+  // Same as Append under fail-stop: an LSN that never becomes durable.
+  if (mgr_ != nullptr && mgr_->fail_stopped()) return next_lsn_++;
+  // Seal the active buffer's block in place and write it first, so file
+  // bytes stay in LSN order (the shadow is already empty: flush_mu_ holders
+  // always drain before release).
   AwaitEncoded(active_);
   size_t wrote = 0;
   uint64_t flushed_records = 0;
   Status st = Status::OK();
   if (!active_->empty()) {
+    WalBlockCodec::SealBlock(active_->data.get(), active_->reserved,
+                             active_->first_lsn);
     st = file_->Append(Slice(active_->data.get(), active_->reserved));
-    if (st.ok()) {
-      wrote += active_->reserved;
-      flushed_records += active_->records;
-      flushed_lsn_.store(active_->last_lsn, std::memory_order_release);
-      flushed_gsn_.store(
-          std::max(flushed_gsn_.load(std::memory_order_relaxed),
-                   active_->max_gsn),
-          std::memory_order_release);
-      active_->Reset();
-    }
+    wrote += active_->reserved;
+    flushed_records += active_->block.records;
   }
-  uint64_t lsn = ReserveMetadata(active_, type, gsn, len);
-  active_->Reset();  // the record bypasses the buffer entirely
+  const uint64_t max_gsn = std::max(active_->max_gsn, gsn);
+  const uint64_t lsn = AssignLsn(type, gsn);
   if (st.ok()) {
-    std::string tmp;
-    tmp.reserve(len);
-    WalRecordCodec::Encode(type, lsn, gsn, xid, payload, &tmp);
-    st = file_->Append(tmp);
-    if (st.ok() && sync_on_flush_->load(std::memory_order_relaxed)) {
-      st = file_->Sync();
-      if (!st.ok()) {
-        IoStats::Global().wal_sync_failures.fetch_add(
-            1, std::memory_order_relaxed);
-      }
-    }
-    if (st.ok()) {
-      wrote += tmp.size();
-      ++flushed_records;
-      flushed_lsn_.store(lsn, std::memory_order_release);
-      flushed_gsn_.store(
-          std::max(flushed_gsn_.load(std::memory_order_relaxed), gsn),
-          std::memory_order_release);
-      first_pending_gsn_.store(0, std::memory_order_release);
-      commit_pending_.store(false, std::memory_order_release);
+    std::string block;
+    block.reserve(WalBlockCodec::kMaxBlockHeader +
+                  WalBlockCodec::kMaxRecordHeader + payload.size());
+    WalBlockBuilder builder(lsn, &block);
+    builder.Add(type, gsn, xid, payload);
+    builder.Finish();
+    st = file_->Append(block);
+    wrote += block.size();
+    ++flushed_records;
+  }
+  if (st.ok() && sync_on_flush_->load(std::memory_order_relaxed)) {
+    st = file_->Sync();
+    if (!st.ok()) {
+      IoStats::Global().wal_sync_failures.fetch_add(
+          1, std::memory_order_relaxed);
     }
   }
-  if (wrote > 0) {
+  if (st.ok()) {
+    // Published only after the sync: both blocks are durable together.
+    active_->Reset();
+    flushed_lsn_.store(lsn, std::memory_order_release);
+    flushed_gsn_.store(
+        std::max(flushed_gsn_.load(std::memory_order_relaxed), max_gsn),
+        std::memory_order_release);
+    first_pending_gsn_.store(0, std::memory_order_release);
+    commit_pending_.store(false, std::memory_order_release);
     auto& stats = IoStats::Global();
     stats.wal_bytes_written.fetch_add(wrote, std::memory_order_relaxed);
     stats.wal_flushes.fetch_add(1, std::memory_order_relaxed);
@@ -190,6 +200,10 @@ Result<size_t> WalWriter::FlushLocked() {
     active_ = (active_ == &bufs_[0]) ? &bufs_[1] : &bufs_[0];
   }
   AwaitEncoded(sealed);
+  // The block header and its CRC are stamped here, on the flushing thread,
+  // not by the appending workers.
+  WalBlockCodec::SealBlock(sealed->data.get(), sealed->reserved,
+                           sealed->first_lsn);
   Status st = file_->Append(Slice(sealed->data.get(), sealed->reserved));
   if (!st.ok()) {
     if (mgr_ != nullptr) mgr_->EnterFailStop(st);
@@ -209,12 +223,12 @@ Result<size_t> WalWriter::FlushLocked() {
   stats.wal_bytes_written.fetch_add(bytes, std::memory_order_relaxed);
   stats.wal_flushes.fetch_add(1, std::memory_order_relaxed);
   if (mgr_ != nullptr) {
-    mgr_->pstats_.records_flushed.fetch_add(sealed->records,
+    mgr_->pstats_.records_flushed.fetch_add(sealed->block.records,
                                             std::memory_order_relaxed);
   }
   {
     std::lock_guard<std::mutex> lk(mu_);
-    flushed_lsn_.store(sealed->last_lsn, std::memory_order_release);
+    flushed_lsn_.store(sealed->last_lsn(), std::memory_order_release);
     flushed_gsn_.store(std::max(flushed_gsn_.load(std::memory_order_relaxed),
                                 sealed->max_gsn),
                        std::memory_order_release);

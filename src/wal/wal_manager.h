@@ -25,11 +25,13 @@ class WalManager;
 /// flusher threads drain the buffers to per-slot files.
 ///
 /// The writer is a double-buffered, reservation-based pipeline: Append takes
-/// `mu_` only long enough to reserve space in the active buffer and assign
-/// the LSN, then encodes into the reservation outside the lock. Flush seals
-/// the active buffer (swapping in the drained shadow), waits for in-flight
-/// reservations to finish encoding, and drains the sealed buffer to disk —
-/// so an fdatasync in progress never blocks that slot's appends.
+/// `mu_` only long enough to size the record header, reserve space in the
+/// active buffer and assign the LSN, then encodes into the reservation
+/// outside the lock. Each buffer holds one log block (WalBlockCodec). Flush
+/// seals the active buffer (swapping in the drained shadow), waits for
+/// in-flight reservations to finish encoding, stamps the block header and
+/// CRC, and drains the block to disk — so an fdatasync in progress never
+/// blocks that slot's appends.
 class WalWriter {
  public:
   WalWriter(uint32_t id, std::unique_ptr<File> file,
@@ -98,29 +100,32 @@ class WalWriter {
  private:
   friend class WalManager;
 
-  /// A half of the double buffer. `reserved`/metadata are guarded by the
-  /// writer's `mu_`; `filled` is advanced by appenders after they finish
-  /// encoding outside the lock, and the flusher spins filled == reserved
-  /// before touching the bytes.
+  /// A half of the double buffer, holding one log block (see
+  /// WalBlockCodec). `reserved`/metadata are guarded by the writer's `mu_`;
+  /// `filled` is advanced by appenders after they finish encoding outside
+  /// the lock, and the flusher spins filled == reserved before touching the
+  /// bytes. The block header is reserved with the first record and counted
+  /// as filled: the flush writes it when it seals the block.
   struct LogBuffer {
     std::unique_ptr<char[]> data;
     size_t capacity = 0;
     size_t reserved = 0;
     std::atomic<size_t> filled{0};
-    uint64_t last_lsn = 0;
+    uint64_t first_lsn = 0;
     uint64_t min_gsn = 0;  // 0 = empty
     uint64_t max_gsn = 0;
-    uint32_t records = 0;
+    WalBlockCodec::Cursor block;
     bool has_commit = false;
 
     bool empty() const { return reserved == 0; }
+    uint64_t last_lsn() const { return first_lsn + block.records - 1; }
     void Reset() {
       reserved = 0;
       filled.store(0, std::memory_order_relaxed);
-      last_lsn = 0;
+      first_lsn = 0;
       min_gsn = 0;
       max_gsn = 0;
-      records = 0;
+      block = WalBlockCodec::Cursor();
       has_commit = false;
     }
   };
@@ -134,14 +139,13 @@ class WalWriter {
 
   /// Flush with `flush_mu_` already held.
   Result<size_t> FlushLocked();
-  /// Slow path for records larger than the buffer capacity: drain the
-  /// pipeline, then write the record directly.
+  /// Slow path for records that cannot fit a buffer: seal the active
+  /// buffer's block, then write the record as a block of its own.
   uint64_t AppendOversize(WalRecordType type, Xid xid, uint64_t gsn,
-                          Slice payload, size_t len);
-  /// Record reservation-side metadata for a record entering buffer `b`.
-  /// Requires `mu_`.
-  uint64_t ReserveMetadata(LogBuffer* b, WalRecordType type, uint64_t gsn,
-                           size_t len);
+                          Slice payload);
+  /// Assigns the next LSN and publishes the writer-level pending metadata
+  /// for a record of `type` at `gsn`. Requires `mu_`.
+  uint64_t AssignLsn(WalRecordType type, uint64_t gsn);
   /// Wakes wait-list entries covered by the current flushed LSN.
   void WakeDurableWaiters();
   /// Spins until every in-flight reservation of `b` finished encoding.
@@ -232,14 +236,14 @@ class WalManager {
   void LogData(Transaction* txn, WalRecordType type, uint64_t gsn,
                Slice payload);
 
-  /// Appends the commit record; returns OK when the commit is durable or
-  /// kBlocked(kAsyncRead)-style wait is needed (coroutine mode polls with
-  /// CommitDurable).
+  /// Appends the commit record (coroutine mode then polls CommitDurable).
+  /// Database::Commit skips it for a transaction that logged nothing.
   void LogCommit(Transaction* txn, Timestamp cts);
 
-  /// True once the commit of `txn` (logged via LogCommit) is durable under
-  /// the RFA rule: own writer flushed past the commit LSN, plus the global
-  /// flushed GSN when a remote dependency exists.
+  /// True once the commit of `txn` is durable under the RFA rule: own
+  /// writer flushed past txn->last_lsn (the commit record, or nothing for a
+  /// transaction that logged nothing), plus the global flushed GSN when a
+  /// remote dependency exists.
   bool CommitDurable(const Transaction* txn) const;
 
   /// Blocks until CommitDurable (synchronous mode). Local-only commits park

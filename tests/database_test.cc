@@ -128,6 +128,84 @@ TEST_F(DatabaseTest, AbortRollsBack) {
   ASSERT_OK(db_->Commit(&ctx_, reader));
 }
 
+// A transaction that wrote nothing logs nothing: no commit record, no
+// flush, whether or not it read anything.
+TEST_F(DatabaseTest, ReadOnlyCommitLogsNothing) {
+  Open();
+  Table* t = db_->CreateTable("accounts", AccountSchema()).value();
+  Transaction* txn = db_->Begin(db_->aux_slot());
+  RowId rid = 0;
+  ASSERT_OK(t->Insert(&ctx_, txn, MakeRow(t, 1, "alice", 100.0), &rid));
+  ASSERT_OK(db_->Commit(&ctx_, txn));
+
+  const uint64_t appends = db_->wal()->pipeline_stats().appends.load();
+  const uint64_t flushes = IoStats::Global().wal_flushes.load();
+  Transaction* reader = db_->Begin(db_->aux_slot());
+  Slice row;
+  ASSERT_OK(t->GetRef(&ctx_, reader, rid, &row));
+  ASSERT_OK(db_->Commit(&ctx_, reader));
+  Transaction* empty = db_->Begin(db_->aux_slot(1));
+  ASSERT_OK(db_->Commit(&ctx_, empty));
+  EXPECT_EQ(db_->wal()->pipeline_stats().appends.load(), appends);
+  EXPECT_EQ(IoStats::Global().wal_flushes.load(), flushes);
+}
+
+// An abort logs no record of its own; the aborted transaction's data
+// records reach the log (ahead of a later commit on the same writer) and
+// recovery must still drop them for lack of a commit.
+TEST_F(DatabaseTest, AbortedRecordsAbsentAfterRecovery) {
+  Open();
+  Table* t = db_->CreateTable("accounts", AccountSchema()).value();
+  ASSERT_OK(db_->CreateIndex("accounts", "pk", {0}, true));
+  Transaction* txn = db_->Begin(db_->aux_slot());
+  RowId rid1 = 0;
+  ASSERT_OK(t->Insert(&ctx_, txn, MakeRow(t, 1, "alice", 100.0), &rid1));
+  ASSERT_OK(db_->Commit(&ctx_, txn));
+
+  Transaction* bad = db_->Begin(db_->aux_slot());
+  ASSERT_OK(t->Update(&ctx_, bad, rid1, {{2, Value::Double(0.0)}}));
+  RowId rid2 = 0;
+  ASSERT_OK(t->Insert(&ctx_, bad, MakeRow(t, 2, "bob", 5.0), &rid2));
+  const uint64_t appends = db_->wal()->pipeline_stats().appends.load();
+  ASSERT_OK(db_->Abort(&ctx_, bad));
+  EXPECT_EQ(db_->wal()->pipeline_stats().appends.load(), appends);
+
+  // Same slot, same writer: this commit's flush carries bad's records.
+  Transaction* good = db_->Begin(db_->aux_slot());
+  RowId rid3 = 0;
+  ASSERT_OK(t->Insert(&ctx_, good, MakeRow(t, 3, "carol", 7.0), &rid3));
+  ASSERT_OK(db_->Commit(&ctx_, good));
+
+  std::string path = dir_->path();
+  db_->TEST_SimulateCrash();
+  db_.reset();
+  DatabaseOptions reopen;
+  reopen.path = path;
+  reopen.workers = 2;
+  reopen.slots_per_worker = 4;
+  reopen.buffer_bytes = 16ull << 20;
+  auto db2 = Database::Open(reopen);
+  ASSERT_OK_R(db2);
+  Database* db = db2.value().get();
+  EXPECT_TRUE(db->recovery_info().ran);
+  EXPECT_GE(db->recovery_info().skipped_uncommitted, 2u);
+
+  t = db->GetTable("accounts").value();
+  Transaction* reader = db->Begin(db->aux_slot());
+  Slice row;
+  RowId found = 0;
+  ASSERT_OK(
+      t->IndexGetRef(&ctx_, reader, 0, {Value::Int64(1)}, &found, &row));
+  EXPECT_DOUBLE_EQ(RowView(&t->schema(), row.data()).GetDouble(2), 100.0);
+  EXPECT_TRUE(t->IndexGetRef(&ctx_, reader, 0, {Value::Int64(2)}, &found,
+                             &row)
+                  .IsNotFound());
+  ASSERT_OK(
+      t->IndexGetRef(&ctx_, reader, 0, {Value::Int64(3)}, &found, &row));
+  ASSERT_OK(db->Commit(&ctx_, reader));
+  ASSERT_OK(db->Close());
+}
+
 TEST_F(DatabaseTest, DeleteHidesRow) {
   Open();
   Table* t = db_->CreateTable("accounts", AccountSchema()).value();

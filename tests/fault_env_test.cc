@@ -415,17 +415,18 @@ class RecoveryScanFaultTest : public ::testing::Test {
  protected:
   void SetUp() override { dir_ = std::make_unique<TestDir>("scan_fault"); }
 
-  /// Writes wal_0.log with `commits` committed single-record transactions.
+  /// Writes wal_0.log with `commits` committed single-record transactions,
+  /// one block each.
   void WriteWal(int commits, const std::string& tail_garbage) {
     std::string buf;
     for (int i = 1; i <= commits; ++i) {
       Xid xid = MakeXid(static_cast<uint64_t>(i));
-      WalRecordCodec::Encode(WalRecordType::kInsert, 2 * i - 1,
-                             static_cast<uint64_t>(i), xid,
-                             DataPayload(1, i, "r"), &buf);
-      WalRecordCodec::Encode(WalRecordType::kCommit, 2 * i,
-                             static_cast<uint64_t>(i), xid,
-                             WalRecordCodec::CommitPayload(100 + i), &buf);
+      WalBlockBuilder block(2 * i - 1, &buf);
+      block.Add(WalRecordType::kInsert, static_cast<uint64_t>(i), xid,
+                DataPayload(1, i, "r"));
+      block.Add(WalRecordType::kCommit, static_cast<uint64_t>(i), xid,
+                WalRecordCodec::CommitPayload(100 + i));
+      block.Finish();
     }
     buf += tail_garbage;
     std::unique_ptr<File> f;
@@ -440,7 +441,7 @@ class RecoveryScanFaultTest : public ::testing::Test {
 };
 
 TEST_F(RecoveryScanFaultTest, TornTailRecoversCleanPrefix) {
-  // Half a frame of garbage after 3 committed transactions.
+  // Half a block header of garbage after 3 committed transactions.
   WriteWal(3, std::string(13, '\xEE'));
   auto r = WalRecovery::Scan(Env::Default(), dir_->path());
   ASSERT_OK_R(r);

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "common/arena.h"
 #include "common/status.h"
@@ -34,6 +36,34 @@ class TestDir {
 inline std::string DataPayload(RelationId rel, RowId rid, Slice body) {
   Arena arena;
   return WalRecordCodec::DataPayloadTo(rel, rid, body, &arena).ToString();
+}
+
+/// Whole contents of the file at `path` ("" when it cannot be read).
+inline std::string ReadWholeFile(const std::string& path) {
+  std::string raw;
+  auto size = Env::Default()->FileSize(path);
+  if (!size.ok() || size.value() == 0) return raw;
+  std::unique_ptr<File> f;
+  Env::OpenOptions fo;
+  fo.create = false;
+  fo.read_only = true;
+  if (!Env::Default()->OpenFile(path, fo, &f).ok()) return raw;
+  raw.resize(size.value());
+  size_t got = 0;
+  if (!f->Read(0, raw.size(), raw.data(), &got).ok()) got = 0;
+  raw.resize(got);
+  return raw;
+}
+
+/// Decodes the blocks of one writer's log bytes into `out`. Returns OK at a
+/// clean end, or the status of the first block that did not decode.
+inline Status DecodeWalBlocks(Slice bytes, uint32_t writer_id,
+                              std::vector<WalRecord>* out) {
+  for (;;) {
+    Status st = WalBlockCodec::DecodeBlock(&bytes, writer_id, out);
+    if (st.IsNotFound()) return Status::OK();
+    if (!st.ok()) return st;
+  }
 }
 
 #define ASSERT_OK(expr)                                 \

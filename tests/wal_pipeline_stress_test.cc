@@ -14,33 +14,12 @@
 namespace phoebe {
 namespace {
 
-// Reads a writer's log file and decodes every record. Fails the test on a
-// torn or corrupt frame; returns the records (payloads point into *raw).
+// Reads a writer's log file and decodes every block. Fails the test on a
+// torn or corrupt block.
 std::vector<WalRecord> DecodeWalFile(const std::string& path,
-                                     uint32_t writer_id, std::string* raw) {
+                                     uint32_t writer_id) {
   std::vector<WalRecord> out;
-  auto size = Env::Default()->FileSize(path);
-  EXPECT_TRUE(size.ok()) << size.status().ToString();
-  if (!size.ok()) return out;
-  raw->resize(size.value());
-  if (raw->empty()) return out;
-  std::unique_ptr<File> f;
-  Env::OpenOptions fo;
-  fo.create = false;
-  fo.read_only = true;
-  EXPECT_OK(Env::Default()->OpenFile(path, fo, &f));
-  size_t got = 0;
-  EXPECT_OK(f->Read(0, raw->size(), raw->data(), &got));
-  EXPECT_EQ(got, raw->size());
-  Slice in(*raw);
-  for (;;) {
-    WalRecord rec;
-    Status st = WalRecordCodec::DecodeNext(&in, writer_id, &rec);
-    if (st.IsNotFound()) break;
-    EXPECT_OK(st);
-    if (!st.ok()) break;
-    out.push_back(rec);
-  }
+  EXPECT_OK(DecodeWalBlocks(ReadWholeFile(path), writer_id, &out));
   return out;
 }
 
@@ -115,14 +94,61 @@ TEST_F(WalPipelineStressTest, ConcurrentAppendersFlushersPrefixDurability) {
   wal_.reset();  // final drain
 
   for (uint32_t w = 0; w < kWriters; ++w) {
-    std::string raw;
-    std::vector<WalRecord> recs = DecodeWalFile(WalPath(w), w, &raw);
+    std::vector<WalRecord> recs = DecodeWalFile(WalPath(w), w);
     ASSERT_EQ(recs.size(), kPerWriter) << "writer " << w;
     for (uint64_t i = 0; i < recs.size(); ++i) {
       ASSERT_EQ(recs[i].lsn, i + 1) << "writer " << w << " out of order";
       ASSERT_EQ(recs[i].gsn, i + 1);
     }
   }
+}
+
+// Baseline single-writer mode: several slots append to one writer at once,
+// so xids interleave inside a block and gsns arrive out of order. Every
+// record must decode with its own xid, gsn and payload.
+TEST_F(WalPipelineStressTest, SharedWriterConcurrentAppenders) {
+  constexpr uint32_t kThreads = 4;
+  constexpr uint64_t kPerThread = 3000;
+  Open(/*writers=*/1, /*flushers=*/1, /*buffer_bytes=*/4096);
+  WalWriter& writer = wal_->WriterFor(0);
+  std::vector<std::thread> threads;
+  for (uint32_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Random rng(t * 31 + 5);
+      for (uint64_t i = 1; i <= kPerThread; ++i) {
+        // Each thread's gsns rise, but a thread that lags hands the shared
+        // buffer gsns below those of the others.
+        uint64_t gsn = i * 8 + t * 3 + rng.Uniform(3);
+        std::string payload = std::to_string(t) + ":" + std::to_string(i) +
+                              std::string(rng.Uniform(300), 'p');
+        if (i % 1000 == 0) payload.resize(6000, 'o');  // oversize
+        writer.Append(i % 50 == 0 ? WalRecordType::kCommit
+                                  : WalRecordType::kInsert,
+                      MakeXid(t + 1), gsn, payload);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  wal_.reset();  // final drain
+
+  std::vector<WalRecord> recs = DecodeWalFile(WalPath(0), 0);
+  ASSERT_EQ(recs.size(), kThreads * kPerThread);
+  std::vector<uint64_t> next(kThreads, 1);
+  bool out_of_order_gsn = false;
+  for (size_t n = 0; n < recs.size(); ++n) {
+    const WalRecord& rec = recs[n];
+    ASSERT_EQ(rec.lsn, n + 1);
+    uint32_t t = static_cast<uint32_t>(XidStartTs(rec.xid)) - 1;
+    ASSERT_LT(t, kThreads);
+    uint64_t i = next[t]++;
+    // A thread's records keep their order: its appends are sequential.
+    ASSERT_EQ(rec.payload.substr(0, rec.payload.find_first_of("po")),
+              std::to_string(t) + ":" + std::to_string(i));
+    ASSERT_GE(rec.gsn, i * 8 + t * 3);
+    ASSERT_LT(rec.gsn, i * 8 + t * 3 + 3);
+    if (n > 0 && rec.gsn < recs[n - 1].gsn) out_of_order_gsn = true;
+  }
+  EXPECT_TRUE(out_of_order_gsn) << "no gsn below its predecessor was logged";
 }
 
 // A commit wait may only return after the commit record's bytes are in the
@@ -135,8 +161,7 @@ TEST_F(WalPipelineStressTest, CommitWaitImpliesBytesOnDisk) {
     uint64_t commit_lsn = writer.Append(WalRecordType::kCommit, 1, i,
                                         WalRecordCodec::CommitPayload(i));
     writer.WaitDurable(commit_lsn);
-    std::string raw;
-    std::vector<WalRecord> recs = DecodeWalFile(WalPath(0), 0, &raw);
+    std::vector<WalRecord> recs = DecodeWalFile(WalPath(0), 0);
     ASSERT_FALSE(recs.empty());
     EXPECT_GE(recs.back().lsn, commit_lsn)
         << "woken before the commit record reached the file";
@@ -192,8 +217,7 @@ TEST_F(WalPipelineStressTest, TruncateRacesConcurrentFlushes) {
   // Whatever survived the last truncation decodes cleanly: no torn frames,
   // strictly increasing LSNs.
   for (uint32_t w = 0; w < kWriters; ++w) {
-    std::string raw;
-    std::vector<WalRecord> recs = DecodeWalFile(WalPath(w), w, &raw);
+    std::vector<WalRecord> recs = DecodeWalFile(WalPath(w), w);
     uint64_t prev = 0;
     for (const WalRecord& rec : recs) {
       ASSERT_GT(rec.lsn, prev) << "writer " << w;
