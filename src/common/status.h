@@ -89,6 +89,7 @@ class Status {
   bool IsBlocked() const { return code_ == StatusCode::kBlocked; }
   bool IsAborted() const { return code_ == StatusCode::kAborted; }
   bool IsAlreadyExists() const { return code_ == StatusCode::kAlreadyExists; }
+  bool IsNotSupported() const { return code_ == StatusCode::kNotSupported; }
   bool IsBufferFull() const { return code_ == StatusCode::kBufferFull; }
   bool IsKeyExists() const { return code_ == StatusCode::kKeyExists; }
   bool IsUnavailable() const { return code_ == StatusCode::kUnavailable; }

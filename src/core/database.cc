@@ -434,10 +434,9 @@ Status Database::Commit(OpContext* ctx, Transaction* txn) {
     // discarded: its commit record never became durable).
     if (wal_->fail_stopped()) return wal_->fail_stop_status();
     Timestamp cts = txn_mgr_->PrepareCommit(txn);
-    // A transaction that logged nothing leaves recovery nothing to replay,
-    // so it logs no commit either. With last_lsn 0 its durability check is
-    // only the RFA remote-dependency test: what it read must be durable.
-    if (txn->last_lsn != 0) wal_->LogCommit(txn, cts);
+    // A transaction that logged nothing gets no commit record (LogCommit);
+    // its durability check is then only the RFA remote-dependency test.
+    wal_->LogCommit(txn, cts);
   }
   if (!wal_->CommitDurable(txn)) {
     if (!ctx->synchronous) {

@@ -985,7 +985,10 @@ Status Table::RollbackRecord(OpContext* ctx, Transaction* txn,
   entry.head.store(rec->next.load(std::memory_order_acquire),
                    std::memory_order_release);
   g.frame()->dirty.store(true, std::memory_order_release);
-  (void)deps_->wal->OnPageWrite(txn, g.frame());
+  // No GSN stamp: a rollback logs nothing, so a fresh GSN here would sit
+  // above anything its writer ever flushes and give every later reader of
+  // the page a remote dependency. The page keeps the stamp of the logged
+  // write this undoes.
   g.Release();
 
   if (rec->kind == UndoKind::kInsert) {

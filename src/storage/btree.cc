@@ -879,6 +879,15 @@ Status BTree::DetachTableLeaf(OpContext* ctx, RowId first_row_id) {
 Status BTree::ForEachTableLeaf(
     OpContext* ctx,
     const std::function<bool(TableLeaf&, BufferFrame*)>& cb) {
+  // First row id of the leaf that `rid` routes to.
+  auto leaf_first = [&](RowId rid, bool rightmost, RowId* first) {
+    LeafGuard g;
+    PHOEBE_RETURN_IF_ERROR(DescendToLeaf(ctx, TableKey(rid),
+                                         LatchMode::kShared, false, rightmost,
+                                         &g, nullptr));
+    *first = TableLeaf(g.page(), schema_, layout_).first_row_id();
+    return Status::OK();
+  };
   RowId cursor = 0;
   RowId last_seen_first = kInvalidRowId;
   for (;;) {
@@ -886,7 +895,31 @@ Status BTree::ForEachTableLeaf(
     PHOEBE_RETURN_IF_ERROR(
         FixLeaf(ctx, TableKey(cursor + 1), LatchMode::kExclusive, &g));
     TableLeaf leaf(g.page(), schema_, layout_);
-    if (leaf.first_row_id() == last_seen_first) return Status::OK();
+    if (last_seen_first != kInvalidRowId &&
+        leaf.first_row_id() <= last_seen_first) {
+      g.Release();
+      // cursor + 1 routed back to the leaf just visited. Either that leaf
+      // is the rightmost, or leaves after it were detached (frozen): the
+      // parent then routes their row ids to the left neighbour. Find the
+      // next leaf by binary search for the smallest row id in (cursor,
+      // rightmost leaf's first] that routes past the visited leaf.
+      RowId hi = 0;
+      PHOEBE_RETURN_IF_ERROR(leaf_first(0, /*rightmost=*/true, &hi));
+      if (hi <= last_seen_first) return Status::OK();
+      RowId lo = cursor + 1;
+      while (hi - lo > 1) {
+        const RowId mid = lo + (hi - lo) / 2;
+        RowId first = 0;
+        PHOEBE_RETURN_IF_ERROR(leaf_first(mid, /*rightmost=*/false, &first));
+        if (first > last_seen_first) {
+          hi = mid;
+        } else {
+          lo = mid;
+        }
+      }
+      cursor = hi - 1;
+      continue;
+    }
     last_seen_first = leaf.first_row_id();
     if (!cb(leaf, g.frame())) return Status::OK();
     cursor = leaf.first_row_id() + leaf.capacity() - 1;

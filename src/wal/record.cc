@@ -9,7 +9,7 @@
 namespace phoebe {
 
 size_t WalBlockCodec::BlockHeaderSize(uint64_t first_lsn) {
-  return kBlockPrefix + static_cast<size_t>(VarintLength(first_lsn));
+  return kBlockPrefix + 1 + static_cast<size_t>(VarintLength(first_lsn));
 }
 
 WalBlockCodec::RecordHeader WalBlockCodec::MakeHeader(const Cursor& cursor,
@@ -44,7 +44,8 @@ void WalBlockCodec::SealBlock(char* block, size_t block_size,
                               uint64_t first_lsn) {
   char* body = block + kBlockPrefix;
   const size_t body_len = block_size - kBlockPrefix;
-  EncodeVarint64(body, first_lsn);
+  body[0] = static_cast<char>(kBlockFormat);
+  EncodeVarint64(body + 1, first_lsn);
   EncodeFixed32(block, static_cast<uint32_t>(body_len));
   EncodeFixed32(block + 4, MaskCrc(Crc32c(body, body_len)));
 }
@@ -64,13 +65,15 @@ Status WalBlockCodec::DecodeBlock(Slice* input, uint32_t writer_id,
   if (MaskCrc(Crc32c(p, body_len)) != DecodeFixed32(input->data() + 4)) {
     return Status::Corruption("wal block crc mismatch");
   }
-  // The CRC held, so a malformed body is a writer bug or a CRC collision;
-  // either way the block is rejected whole.
+  // The CRC held, so this is no torn write: a body that does not parse
+  // comes from another format or a writer bug, and must not be mistaken
+  // for a torn tail.
   const size_t first = out->size();
   auto malformed = [&] {
     out->resize(first);
-    return Status::Corruption("malformed wal block");
+    return Status::NotSupported("wal block passes its crc but does not parse");
   };
+  if (static_cast<uint8_t>(*p++) != kBlockFormat) return malformed();
   uint64_t first_lsn = 0;
   p = GetVarint64Ptr(p, limit, &first_lsn);
   if (p == nullptr || p == limit) return malformed();

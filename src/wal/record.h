@@ -39,19 +39,23 @@ struct WalRecord {
 /// the buffer:
 ///
 ///   block  = [u32 body_len][u32 masked crc32c of body][body]
-///   body   = [varint first_lsn][record]...
+///   body   = [u8 kBlockFormat][varint first_lsn][record]...
 ///   record = [u8 type | kSameXid][varint payload_len]
 ///            [varint zigzag(gsn - gsn of the previous record in the block)]
 ///            [varint XidStartTs(xid), only without kSameXid][payload]
 ///
 /// The first record of a block codes its gsn against 0 and always carries
 /// its xid. The i-th record of a block has LSN first_lsn + i. Xids must be
-/// MakeXid() values: only the start timestamp is stored.
+/// MakeXid() values: only the start timestamp is stored. The format byte
+/// tells a block of this layout from anything else that passes the CRC,
+/// such as a log written by a build with another layout.
 class WalBlockCodec {
  public:
-  /// [u32 body_len][u32 crc]; the body then starts with varint first_lsn.
+  /// [u32 body_len][u32 crc]; the body then starts with the format byte and
+  /// varint first_lsn.
   static constexpr size_t kBlockPrefix = 8;
-  static constexpr size_t kMaxBlockHeader = kBlockPrefix + 10;
+  static constexpr uint8_t kBlockFormat = 0xB1;
+  static constexpr size_t kMaxBlockHeader = kBlockPrefix + 1 + 10;
   /// Type byte, varint32 payload length, varint64 gsn delta, varint64 xid
   /// start timestamp (62 bits).
   static constexpr size_t kMaxRecordHeader = 1 + 5 + 10 + 9;
@@ -98,7 +102,9 @@ class WalBlockCodec {
 
   /// Parses the block at the front of `input`, appends its records to
   /// `out`, and advances `input`. kNotFound on a clean end; kCorruption on a
-  /// torn or garbage block, leaving `out` as it was.
+  /// torn block (cut short, or failing its CRC); kNotSupported on a block
+  /// that passes its CRC but is not a block of this format. `out` is left
+  /// as it was on any error.
   static Status DecodeBlock(Slice* input, uint32_t writer_id,
                             std::vector<WalRecord>* out);
 };

@@ -63,6 +63,13 @@ Result<WalRecovery::ScanResult> WalRecovery::Scan(Env* env,
         out.torn_tails += 1;
         break;
       }
+      if (ds.IsNotSupported()) {
+        // Not a torn write: the block is whole. Dropping it and what
+        // follows would silently lose acknowledged commits, so refuse.
+        return R(Status::Corruption(
+            name + " at offset " + std::to_string(size - input.size()) +
+            ": " + ds.ToString()));
+      }
       if (!ds.ok()) return R(ds);
       for (WalRecord& rec : block) {
         out.total_records += 1;

@@ -386,6 +386,7 @@ void WalManager::FlusherMain(uint32_t flusher_id) {
     if (wrote == 0) {
       // Sleep until the flush interval elapses or a commit append kicks us.
       std::unique_lock<std::mutex> lk(flusher_mu_);
+      pstats_.idle_waits.fetch_add(1, std::memory_order_relaxed);
       flusher_cv_.wait_for(
           lk, std::chrono::microseconds(options_.flush_interval_us), [&] {
             return stop_.load(std::memory_order_acquire) ||
@@ -440,6 +441,13 @@ void WalManager::LogData(Transaction* txn, WalRecordType type, uint64_t gsn,
 
 void WalManager::LogCommit(Transaction* txn, Timestamp cts) {
   ComponentScope prof(Component::kWal);
+  if (txn->last_lsn == 0) {
+    // Nothing to replay, so no commit record. What the transaction read
+    // may still wait on another writer's flush: kick the flushers rather
+    // than leave the wait to the flush timer.
+    if (!CommitDurable(txn)) KickFlusher();
+    return;
+  }
   WalWriter& w = WriterFor(txn->slot_id());
   txn->last_lsn = w.Append(WalRecordType::kCommit, txn->xid(), w.LoadGsn(),
                            WalRecordCodec::CommitPayload(cts));

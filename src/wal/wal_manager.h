@@ -205,6 +205,7 @@ class WalManager {
     std::atomic<uint64_t> inline_flushes{0};   // appender hit a full buffer
     std::atomic<uint64_t> oversize_appends{0};
     std::atomic<uint64_t> commit_kicks{0};     // flusher wakeups for commits
+    std::atomic<uint64_t> idle_waits{0};       // flusher found nothing, slept
   };
 
   static Result<std::unique_ptr<WalManager>> Open(Env* env,
@@ -237,7 +238,8 @@ class WalManager {
                Slice payload);
 
   /// Appends the commit record (coroutine mode then polls CommitDurable).
-  /// Database::Commit skips it for a transaction that logged nothing.
+  /// A transaction that logged nothing (last_lsn 0) gets no commit record;
+  /// if its remote dependency is not yet durable, the flushers are kicked.
   void LogCommit(Transaction* txn, Timestamp cts);
 
   /// True once the commit of `txn` is durable under the RFA rule: own
@@ -320,7 +322,7 @@ class WalManager {
   /// Wakes remote-dependency waiters whose commit became durable; called by
   /// writers after every successful flush.
   void WakeRemoteWaiters();
-  /// Nudges a sleeping flusher (a commit record was just buffered).
+  /// Nudges a sleeping flusher (a commit is waiting on a flush).
   void KickFlusher();
 
   /// Manager-level wait list entry for remote-dependency commits.

@@ -206,6 +206,30 @@ TEST_F(DatabaseTest, AbortedRecordsAbsentAfterRecovery) {
   ASSERT_OK(db->Close());
 }
 
+// A rollback logs nothing, so it must leave no GSN on the page that its
+// writer will never flush past: once the aborted writes are flushed, a
+// reader on another slot has no remote dependency on the page.
+TEST_F(DatabaseTest, RolledBackPageCarriesNoRemoteDependency) {
+  Open();
+  Table* t = db_->CreateTable("accounts", AccountSchema()).value();
+  Transaction* txn = db_->Begin(db_->aux_slot(0));
+  RowId rid = 0;
+  ASSERT_OK(t->Insert(&ctx_, txn, MakeRow(t, 1, "alice", 100.0), &rid));
+  ASSERT_OK(db_->Commit(&ctx_, txn));
+
+  Transaction* bad = db_->Begin(db_->aux_slot(0));
+  ASSERT_OK(t->Update(&ctx_, bad, rid, {{2, Value::Double(0.0)}}));
+  ASSERT_OK(db_->Abort(&ctx_, bad));
+  ASSERT_OK_R(db_->wal()->WriterFor(db_->aux_slot(0)).Flush());
+
+  Transaction* reader = db_->Begin(db_->aux_slot(1));
+  Slice row;
+  ASSERT_OK(t->GetRef(&ctx_, reader, rid, &row));
+  EXPECT_DOUBLE_EQ(RowView(&t->schema(), row.data()).GetDouble(2), 100.0);
+  EXPECT_FALSE(reader->remote_dependency);
+  ASSERT_OK(db_->Commit(&ctx_, reader));
+}
+
 TEST_F(DatabaseTest, DeleteHidesRow) {
   Open();
   Table* t = db_->CreateTable("accounts", AccountSchema()).value();

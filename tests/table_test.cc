@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <thread>
 
 #include "core/database.h"
@@ -697,6 +698,70 @@ TEST_F(TableTest, StaleFrozenBlockIsShadowedByLiveTreeRows) {
   Transaction* reader2 = db_->Begin(db_->aux_slot(0));
   EXPECT_TRUE(table_->GetRef(&ctx_, reader2, rids[2], &row).IsNotFound());
   ASSERT_OK(db_->Commit(&ctx_, reader2));
+}
+
+// A freeze that raced a writer leaves its leaf in the tree with the
+// watermark past it; later freeze passes then detach the leaves after it,
+// whose row ids the parent routes to that stale leaf. Scans must still
+// reach every leaf beyond the gap.
+TEST_F(TableTest, ScansCrossGapAfterStaleLeaf) {
+  DatabaseOptions opts;
+  opts.freeze_access_threshold = 1u << 30;  // everything freezable
+  opts.freeze_epoch_age = 0;
+  Open(opts);
+  Transaction* setup = db_->Begin(db_->aux_slot(0));
+  const int kRows = 3000;
+  std::vector<RowId> rids;
+  for (int i = 0; i < kRows; ++i) {
+    rids.push_back(InsertItem(setup, 1000 + i, "r" + std::to_string(i), i));
+  }
+  ASSERT_OK(db_->Commit(&ctx_, setup));
+  db_->DrainGc();
+  db_->pool()->AdvanceEpoch();
+
+  OpContext fctx;
+  fctx.synchronous = true;
+  ASSERT_OK(table_->FreezePass(&fctx, 1).status());
+  const RowId leaf_end = table_->frozen()->max_frozen_row_id();
+  ASSERT_GT(leaf_end, 0u);
+  const RowId cap = leaf_end - rids[0] + 1;
+  ASSERT_LT(rids[0] + 5 * cap, rids.back());
+
+  // The second leaf: frozen, but never detached.
+  Transaction* reader = db_->Begin(db_->aux_slot(0));
+  std::vector<RowId> stale_rids;
+  std::vector<std::string> stale_rows;
+  for (RowId rid = leaf_end + 1; rid <= leaf_end + cap; ++rid) {
+    Slice row;
+    ASSERT_OK(table_->GetRef(&ctx_, reader, rid, &row));
+    stale_rids.push_back(rid);
+    stale_rows.push_back(row.ToString());
+  }
+  ASSERT_OK(db_->Commit(&ctx_, reader));
+  ASSERT_OK(
+      table_->frozen()->FreezeBlock(stale_rids, stale_rows, leaf_end + cap));
+  // The next two leaves are frozen and detached behind it.
+  auto frozen = table_->FreezePass(&fctx, 2);
+  ASSERT_OK(frozen.status());
+  ASSERT_EQ(frozen.value(), 2);
+
+  reader = db_->Begin(db_->aux_slot(0));
+  std::set<int64_t> skus;
+  ASSERT_OK(table_->ScanAllVisible(&ctx_, reader, [&](RowId, Slice r) {
+    EXPECT_TRUE(skus.insert(RowView(&table_->schema(), r.data()).GetInt64(0))
+                    .second);
+    return true;
+  }));
+  EXPECT_EQ(skus.size(), static_cast<size_t>(kRows));
+  int col_rows = 0;
+  ASSERT_OK(table_->ScanColumnInt64(&ctx_, reader, 0, [&](RowId, int64_t) {
+    ++col_rows;
+    return true;
+  }));
+  EXPECT_EQ(col_rows, kRows);
+  Slice row;
+  ASSERT_OK(table_->GetRef(&ctx_, reader, rids.back(), &row));
+  ASSERT_OK(db_->Commit(&ctx_, reader));
 }
 
 // --- Key encoding properties ----------------------------------------------------

@@ -38,21 +38,26 @@ inline std::string DataPayload(RelationId rel, RowId rid, Slice body) {
   return WalRecordCodec::DataPayloadTo(rel, rid, body, &arena).ToString();
 }
 
-/// Whole contents of the file at `path` ("" when it cannot be read).
-inline std::string ReadWholeFile(const std::string& path) {
-  std::string raw;
+/// Reads the whole file at `path` into `out`. Fails when the file is
+/// missing, cannot be opened, or reads short.
+inline Status ReadWholeFile(const std::string& path, std::string* out) {
+  out->clear();
   auto size = Env::Default()->FileSize(path);
-  if (!size.ok() || size.value() == 0) return raw;
+  if (!size.ok()) return size.status();
+  if (size.value() == 0) return Status::OK();
   std::unique_ptr<File> f;
   Env::OpenOptions fo;
   fo.create = false;
   fo.read_only = true;
-  if (!Env::Default()->OpenFile(path, fo, &f).ok()) return raw;
-  raw.resize(size.value());
+  PHOEBE_RETURN_IF_ERROR(Env::Default()->OpenFile(path, fo, &f));
+  out->resize(size.value());
   size_t got = 0;
-  if (!f->Read(0, raw.size(), raw.data(), &got).ok()) got = 0;
-  raw.resize(got);
-  return raw;
+  PHOEBE_RETURN_IF_ERROR(f->Read(0, out->size(), out->data(), &got));
+  if (got != out->size()) {
+    return Status::IOError("short read: " + std::to_string(got) + " of " +
+                           std::to_string(out->size()) + " bytes of " + path);
+  }
+  return Status::OK();
 }
 
 /// Decodes the blocks of one writer's log bytes into `out`. Returns OK at a

@@ -14,12 +14,16 @@
 namespace phoebe {
 namespace {
 
-// Reads a writer's log file and decodes every block. Fails the test on a
-// torn or corrupt block.
+// Reads a writer's log file and decodes every block. Fails the test when the
+// file is missing, unreadable or read short, and on a torn or corrupt block.
 std::vector<WalRecord> DecodeWalFile(const std::string& path,
                                      uint32_t writer_id) {
   std::vector<WalRecord> out;
-  EXPECT_OK(DecodeWalBlocks(ReadWholeFile(path), writer_id, &out));
+  std::string raw;
+  Status st = ReadWholeFile(path, &raw);
+  EXPECT_OK(st);
+  if (!st.ok()) return out;
+  EXPECT_OK(DecodeWalBlocks(raw, writer_id, &out));
   return out;
 }
 

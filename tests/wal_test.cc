@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <map>
+#include <thread>
 
+#include "common/coding.h"
+#include "common/crc32.h"
 #include "common/random.h"
 #include "tests/test_util.h"
 #include "txn/txn_manager.h"
@@ -176,15 +180,27 @@ class WalManagerTest : public ::testing::Test {
     wal_ = std::move(mgr.value());
   }
 
+  // Returns once the flusher has found nothing to flush and gone to sleep
+  // for the flush interval: with a long interval, nothing appended after
+  // this is flushed until a kick or an explicit Flush.
+  void WaitFlusherAsleep() {
+    while (wal_->pipeline_stats().idle_waits.load() == 0) {
+      std::this_thread::yield();
+    }
+  }
+
   Transaction* MakeTxn(uint32_t slot) {
     if (!tm_) tm_ = std::make_unique<TxnManager>(8, &clock_);
     return tm_->Begin(slot, IsolationLevel::kReadCommitted);
   }
 
   std::vector<WalRecord> ReadLog(uint32_t writer) {
-    std::string raw = ReadWholeFile(dir_->path() + "/wal_" +
-                                    std::to_string(writer) + ".log");
+    std::string raw;
     std::vector<WalRecord> recs;
+    Status st = ReadWholeFile(
+        dir_->path() + "/wal_" + std::to_string(writer) + ".log", &raw);
+    EXPECT_OK(st);
+    if (!st.ok()) return recs;
     EXPECT_OK(DecodeWalBlocks(raw, writer, &recs));
     return recs;
   }
@@ -250,9 +266,10 @@ TEST_F(WalManagerTest, NoRfaAlwaysRemote) {
 // wait for; with a remote dependency it is durable only once the writer
 // that stamped the page it read has flushed past the page's GSN.
 TEST_F(WalManagerTest, ReadOnlyRemoteDependencyWaitsForOtherWriter) {
-  // A 10 s flush interval and no commit record (no flusher kick): nothing
-  // is flushed unless the test flushes.
+  // A 10 s flush interval, a flusher already asleep and no LogCommit (no
+  // flusher kick): nothing is flushed unless the test flushes.
   Open(4, /*rfa=*/true, /*flush_interval_us=*/10'000'000);
+  WaitFlusherAsleep();
   BufferFrame frame;
   Transaction* writer = MakeTxn(0);
   uint64_t gsn = wal_->OnPageWrite(writer, &frame);
@@ -275,6 +292,38 @@ TEST_F(WalManagerTest, ReadOnlyRemoteDependencyWaitsForOtherWriter) {
   wal_->OnPageRead(local, &untouched);
   EXPECT_FALSE(local->remote_dependency);
   EXPECT_TRUE(wal_->CommitDurable(local));
+}
+
+// LogCommit on a transaction that logged nothing appends no record; when
+// it waits on another writer it kicks the flushers, so the wait ends at the
+// next flush and not at the (here 10 s) flush timer.
+TEST_F(WalManagerTest, ReadOnlyRemoteCommitKicksFlusher) {
+  Open(4, /*rfa=*/true, /*flush_interval_us=*/10'000'000);
+  WaitFlusherAsleep();
+  BufferFrame frame;
+  Transaction* writer = MakeTxn(0);
+  uint64_t gsn = wal_->OnPageWrite(writer, &frame);
+  wal_->LogData(writer, WalRecordType::kInsert, gsn, DataPayload(1, 1, "r"));
+
+  Transaction* reader = MakeTxn(1);
+  wal_->OnPageRead(reader, &frame);
+  ASSERT_TRUE(reader->remote_dependency);
+  ASSERT_FALSE(wal_->CommitDurable(reader));
+  const uint64_t appends = wal_->pipeline_stats().appends.load();
+  const uint64_t kicks = wal_->pipeline_stats().commit_kicks.load();
+  const auto start = std::chrono::steady_clock::now();
+  wal_->LogCommit(reader, 7);
+  EXPECT_EQ(reader->last_lsn, 0u);
+  EXPECT_EQ(wal_->pipeline_stats().appends.load(), appends);
+  EXPECT_EQ(wal_->pipeline_stats().commit_kicks.load(), kicks + 1);
+  wal_->WaitCommitDurable(reader);
+  EXPECT_TRUE(wal_->CommitDurable(reader));
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+
+  // Already durable: no kick.
+  Transaction* local = MakeTxn(2);
+  wal_->LogCommit(local, 8);
+  EXPECT_EQ(wal_->pipeline_stats().commit_kicks.load(), kicks + 1);
 }
 
 // Slots sharing one writer (baseline single-writer mode) through the real
@@ -331,7 +380,8 @@ TEST_F(WalManagerTest, OversizeRecordIsItsOwnBlock) {
   ASSERT_OK_R(w.Flush());
   EXPECT_EQ(wal_->pipeline_stats().oversize_appends.load(), 1u);
 
-  std::string raw = ReadWholeFile(dir_->path() + "/wal_0.log");
+  std::string raw;
+  ASSERT_OK(ReadWholeFile(dir_->path() + "/wal_0.log", &raw));
   Slice in(raw);
   std::vector<size_t> block_records;
   std::vector<WalRecord> recs;
@@ -513,7 +563,8 @@ TEST_P(WalFuzzTest, ResealedGarbageNeverCrashesParser) {
       for (const WalRecord& rec : recs) payload_bytes += rec.payload.size();
       EXPECT_LE(payload_bytes, buf.size());
     } else {
-      EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+      // The CRC holds, so a rejected block is never taken for a torn one.
+      EXPECT_TRUE(st.IsNotSupported()) << st.ToString();
       EXPECT_TRUE(recs.empty());
     }
   }
@@ -547,6 +598,56 @@ TEST_P(WalFuzzTest, TruncationAtEveryPointDetected) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WalFuzzTest, ::testing::Range(0, 4));
+
+// A frame in the layout of the former per-record codec,
+// [u32 len][u32 masked crc][u8 type][u64 lsn][u64 gsn][u64 xid][payload],
+// passes the block CRC check, since the block prefix has the same shape.
+std::string OldFormatFrame(WalRecordType type, uint64_t lsn, uint64_t gsn,
+                           Xid xid, Slice payload) {
+  std::string body(1, static_cast<char>(type));
+  PutFixed64(&body, lsn);
+  PutFixed64(&body, gsn);
+  PutFixed64(&body, xid);
+  body.append(payload.data(), payload.size());
+  std::string frame;
+  PutFixed32(&frame, static_cast<uint32_t>(body.size()));
+  PutFixed32(&frame, MaskCrc(Crc32c(body.data(), body.size())));
+  return frame + body;
+}
+
+// A whole block that is not of this format is refused, never dropped as a
+// torn tail: recovery must not silently discard a log it cannot read.
+TEST(WalBlockTest, ForeignFormatRefusedNotTorn) {
+  std::string block = SampleBlock(5);
+  block[WalBlockCodec::kBlockPrefix] = static_cast<char>(0x01);
+  const size_t body_len = block.size() - WalBlockCodec::kBlockPrefix;
+  EncodeFixed32(&block[4],
+                MaskCrc(Crc32c(block.data() + WalBlockCodec::kBlockPrefix,
+                               body_len)));
+  Slice in(block);
+  std::vector<WalRecord> recs;
+  EXPECT_TRUE(WalBlockCodec::DecodeBlock(&in, 0, &recs).IsNotSupported());
+  EXPECT_TRUE(recs.empty());
+
+  std::string old_log =
+      OldFormatFrame(WalRecordType::kInsert, 1, 10, MakeXid(1),
+                     DataPayload(1, 1, "row")) +
+      OldFormatFrame(WalRecordType::kCommit, 2, 11, MakeXid(1),
+                     WalRecordCodec::CommitPayload(12));
+  Slice old_in(old_log);
+  EXPECT_TRUE(WalBlockCodec::DecodeBlock(&old_in, 0, &recs).IsNotSupported());
+  EXPECT_TRUE(recs.empty());
+
+  TestDir dir("wal_old_format");
+  std::unique_ptr<File> f;
+  Env::OpenOptions fo;
+  ASSERT_OK(Env::Default()->OpenFile(dir.path() + "/wal_0.log", fo, &f));
+  ASSERT_OK(f->Append(old_log));
+  f.reset();
+  auto scan = WalRecovery::Scan(Env::Default(), dir.path());
+  ASSERT_FALSE(scan.ok());
+  EXPECT_TRUE(scan.status().IsCorruption()) << scan.status().ToString();
+}
 
 // --- Recovery scan over a damaged multi-block log ----------------------------
 
