@@ -156,6 +156,13 @@ inline DatabaseOptions DefaultOptions(const Flags& flags) {
   return opts;
 }
 
+/// Prints the run's metrics snapshot as one machine-readable line,
+/// `#METRICS {json}` (read by scripts/bench_smoke.sh).
+inline void PrintMetrics(const tpcc::DriverResult& r) {
+  printf("#METRICS %s\n", MetricsJson(r.metrics).c_str());
+  fflush(stdout);
+}
+
 inline tpcc::DriverConfig DefaultDriver(const Flags& flags) {
   tpcc::DriverConfig cfg;
   cfg.seconds = flags.Double("seconds", 5.0);

@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
     printf("%-12d %-8u %-12.0f %-12.0f %-10llu\n", n, opts.workers, r.tpmc,
            r.tpm,
            static_cast<unsigned long long>(r.user_aborts + r.sys_aborts));
-    fflush(stdout);
+    PrintMetrics(r);
   }
   return 0;
 }

@@ -34,11 +34,9 @@ int main(int argc, char** argv) {
     tpcc::DriverConfig cfg = DefaultDriver(flags);
     tpcc::DriverResult r = tpcc::RunTpcc(inst->workload.get(), cfg);
     printf("%-8d %-12.0f %-12.0f %-14.0f\n", n, r.tpmc, r.tpm, r.tpm / n);
-    // Machine-parseable dispatch counters for this point (consumed by
-    // scripts/bench_smoke.sh): how much each point pulled locally vs stole.
-    printf("#SCHED workers=%d tpmC=%.0f tpm=%.0f %s\n", n, r.tpmc, r.tpm,
-           r.sched.ToString().c_str());
-    fflush(stdout);
+    // The snapshot's sched.* counters show how much each point pulled
+    // locally vs stole (scripts/bench_smoke.sh reads them).
+    PrintMetrics(r);
   }
   return 0;
 }

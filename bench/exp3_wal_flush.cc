@@ -3,25 +3,13 @@
 // reverts commits to waiting on the global flushed GSN). Use --wal-dir to
 // place the log on a separate device, as the paper does.
 #include "bench/bench_common.h"
-#include "wal/wal_manager.h"
 
 using namespace phoebe;
 using namespace phoebe::bench;
 
 namespace {
 
-/// Plain-value snapshot of WalManager::PipelineStats (taken before the
-/// instance is torn down).
-struct PipelineSnapshot {
-  uint64_t appends = 0;
-  uint64_t records_flushed = 0;
-  uint64_t inline_flushes = 0;
-  uint64_t oversize_appends = 0;
-  uint64_t commit_kicks = 0;
-};
-
-tpcc::DriverResult RunOne(const Flags& flags, bool rfa,
-                          PipelineSnapshot* pipe) {
+tpcc::DriverResult RunOne(const Flags& flags, bool rfa) {
   DatabaseOptions opts = DefaultOptions(flags);
   opts.enable_rfa = rfa;
   std::string wal_dir = flags.Str("wal-dir", "");
@@ -31,16 +19,7 @@ tpcc::DriverResult RunOne(const Flags& flags, bool rfa,
                         DefaultScale(flags, warehouses));
   tpcc::DriverConfig cfg = DefaultDriver(flags);
   cfg.sample_series = true;
-  tpcc::DriverResult res = tpcc::RunTpcc(inst->workload.get(), cfg);
-  if (pipe != nullptr && inst->db->wal() != nullptr) {
-    const WalManager::PipelineStats& ps = inst->db->wal()->pipeline_stats();
-    pipe->appends = ps.appends.load();
-    pipe->records_flushed = ps.records_flushed.load();
-    pipe->inline_flushes = ps.inline_flushes.load();
-    pipe->oversize_appends = ps.oversize_appends.load();
-    pipe->commit_kicks = ps.commit_kicks.load();
-  }
-  return res;
+  return tpcc::RunTpcc(inst->workload.get(), cfg);
 }
 
 }  // namespace
@@ -51,26 +30,18 @@ int main(int argc, char** argv) {
 
   printf("# Exp 3 (Fig 7b): WAL flush throughput over time (parallel "
          "per-slot writers)\n");
-  PipelineSnapshot pipe;
-  tpcc::DriverResult with_rfa = RunOne(flags, /*rfa=*/true, &pipe);
+  tpcc::DriverResult with_rfa = RunOne(flags, /*rfa=*/true);
   printf("%-8s %-12s %-10s\n", "t(s)", "wal_MB/s", "tpmC");
   for (const auto& pt : with_rfa.series) {
     printf("%-8.1f %-12.2f %-10.0f\n", pt.t, pt.wal_mb_per_s, pt.tpmc);
   }
-  printf("# avg: %.2f MB/s, tpmC=%.0f, wal_flushes=%llu\n",
-         with_rfa.wal_mb_per_s, with_rfa.tpmc,
-         static_cast<unsigned long long>(
-             IoStats::Global().wal_flushes.load()));
-  printf("# pipeline: appends=%llu flushed=%llu inline_flushes=%llu "
-         "oversize=%llu commit_kicks=%llu\n",
-         static_cast<unsigned long long>(pipe.appends),
-         static_cast<unsigned long long>(pipe.records_flushed),
-         static_cast<unsigned long long>(pipe.inline_flushes),
-         static_cast<unsigned long long>(pipe.oversize_appends),
-         static_cast<unsigned long long>(pipe.commit_kicks));
+  printf("# avg: %.2f MB/s, tpmC=%.0f\n", with_rfa.wal_mb_per_s,
+         with_rfa.tpmc);
+  // wal.* (pipeline) and io.wal_* (flush) counters of the RFA run.
+  PrintMetrics(with_rfa);
 
   if (ablate) {
-    tpcc::DriverResult no_rfa = RunOne(flags, /*rfa=*/false, nullptr);
+    tpcc::DriverResult no_rfa = RunOne(flags, /*rfa=*/false);
     printf("\n# RFA ablation (commits wait for the global flushed GSN)\n");
     printf("%-22s %-12s %-12s %-18s\n", "config", "wal_MB/s", "tpmC",
            "commit_wait(us)");
@@ -84,6 +55,7 @@ int main(int argc, char** argv) {
            with_rfa.avg_commit_wait_us > 0
                ? no_rfa.avg_commit_wait_us / with_rfa.avg_commit_wait_us
                : 0.0);
+    PrintMetrics(no_rfa);
   }
   return 0;
 }

@@ -41,13 +41,7 @@ int main(int argc, char** argv) {
     printf("%-8.1f %-14.2f %-14.2f %-10.0f\n", pt.t, pt.data_read_mb_per_s,
            pt.data_write_mb_per_s, pt.tpmc);
   }
-  auto& io = IoStats::Global();
-  printf("# totals: reads=%llu pages, writes=%llu pages, evictions=%llu, "
-         "tpmC=%.0f\n",
-         static_cast<unsigned long long>(io.data_reads.load()),
-         static_cast<unsigned long long>(io.data_writes.load()),
-         static_cast<unsigned long long>(
-             inst->db->pool()->stats().evictions.load()),
-         r.tpmc);
+  // Page-read/write totals (io.*) and evictions (buffer.*) of the run.
+  PrintMetrics(r);
   return 0;
 }

@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
     printf("%-12d %-12.0f %-12.0f %-12llu\n", mb, r.tpmc, r.tpm,
            static_cast<unsigned long long>(
                IoStats::Global().data_reads.load()));
-    fflush(stdout);
+    PrintMetrics(r);
   }
   return 0;
 }

@@ -30,9 +30,7 @@ int main(int argc, char** argv) {
     coro_tpm = r.tpm;
     printf("%-12s %-12.0f %-12.0f %-10llu\n", "coroutine", r.tpmc, r.tpm,
            static_cast<unsigned long long>(r.user_aborts + r.sys_aborts));
-    printf("#SCHED workers=%u tpmC=%.0f tpm=%.0f %s\n", workers, r.tpmc,
-           r.tpm, r.sched.ToString().c_str());
-    fflush(stdout);
+    PrintMetrics(r);
   }
   {
     DatabaseOptions opts = DefaultOptions(flags);
@@ -50,6 +48,7 @@ int main(int argc, char** argv) {
     thread_tpm = r.tpm;
     printf("%-12s %-12.0f %-12.0f %-10llu\n", "thread", r.tpmc, r.tpm,
            static_cast<unsigned long long>(r.user_aborts + r.sys_aborts));
+    PrintMetrics(r);
   }
   if (thread_tpm > 0) {
     printf("# coroutine/thread speedup: %.2fx\n", coro_tpm / thread_tpm);

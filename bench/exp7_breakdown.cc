@@ -27,6 +27,7 @@ void RunAndReport(const Flags& flags, bool affinity) {
   printf("\n# affinity=%s  (tpmC=%.0f, %llu txns profiled)\n",
          affinity ? "true" : "false", r.tpmc,
          static_cast<unsigned long long>(agg.txn_count));
+  PrintMetrics(r);
   if (agg.txn_count == 0 || agg.total_cycles == 0) {
     printf("# no samples\n");
     return;
@@ -51,8 +52,9 @@ void RunAndReport(const Flags& flags, bool affinity) {
 
   // Allocation breakdown (alloc tracking spans the driver's measured
   // window): per-component heap allocations attributed via the same scoped
-  // component markers, plus the whole-process #ALLOC rates.
-  if (r.heap_allocs > 0 && r.commits > 0) {
+  // component markers; the whole-process rates are the snapshot's
+  // tpcc.*_per_txn entries.
+  if (r.heap_allocs_per_txn > 0) {
     printf("\n%-22s %-18s %-18s\n", "component", "heap_allocs/txn",
            "heap_bytes/txn");
     for (int i = 0; i < Profiler::kN; ++i) {
@@ -62,10 +64,6 @@ void RunAndReport(const Flags& flags, bool affinity) {
              static_cast<double>(agg.heap_allocs[i]) / r.commits,
              static_cast<double>(agg.heap_bytes[i]) / r.commits);
     }
-    printf("#ALLOC allocs_per_txn=%.1f heap_bytes_per_txn=%.0f "
-           "arena_bytes_per_txn=%.0f\n",
-           r.heap_allocs_per_txn, r.heap_bytes_per_txn,
-           r.arena_bytes_per_txn);
   }
 }
 

@@ -53,6 +53,7 @@ ModeResult RunMode(const Flags& flags, bool baseline) {
   }
   ModeResult r;
   tpcc::DriverResult d = tpcc::RunTpcc(inst->workload.get(), cfg);
+  PrintMetrics(d);
   r.tpm = d.tpm;
   r.tpmc = d.tpmc;
   r.cycles_new_order = CyclesPerTxn(flags, inst.get(), baseline, 100, 0);

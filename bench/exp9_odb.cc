@@ -29,7 +29,7 @@ double RunConfig(const Flags& flags, const char* name, bool baseline,
   cfg.thread_model = baseline;
   tpcc::DriverResult r = tpcc::RunTpcc(inst->workload.get(), cfg);
   printf("%-26s %-12.0f %-12.0f\n", name, r.tpm, r.tpmc);
-  fflush(stdout);
+  PrintMetrics(r);
   return r.tpm;
 }
 

@@ -1,6 +1,7 @@
 // Order-management demo: runs a scaled TPC-C workload end to end through
 // the public workload API (the paper's evaluation scenario), then verifies
-// the TPC-C consistency invariants and prints per-transaction-type counts.
+// the TPC-C consistency invariants and prints per-transaction-type counts
+// and the engine's metrics snapshot.
 //
 //   ./build/examples/order_management [warehouses] [seconds]
 #include <cstdio>
@@ -52,6 +53,8 @@ int main(int argc, char** argv) {
   printf("running the 45/43/4/4/4 TPC-C mix for %.1fs...\n", seconds);
   DriverResult r = RunTpcc(&workload, cfg);
   printf("%s\n", r.Summary().c_str());
+  // Every layer's counters plus the run's tpcc.* numbers, as one JSON line.
+  printf("#METRICS %s\n", MetricsJson(r.metrics).c_str());
   printf("  new_order:    %llu\n",
          static_cast<unsigned long long>(workload.new_order_commits.load()));
   printf("  payment:      %llu\n",

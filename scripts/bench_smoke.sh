@@ -3,8 +3,10 @@
 # emits BENCH_sched.json with tpmC plus the per-point scheduler dispatch
 # counters (steals, parks, queue high-water), then an allocation smoke that
 # emits BENCH_alloc.json (allocs/txn + bytes/txn from the codec/MVCC micro
-# benches and a short TPC-C run). Future PRs diff these files to see the
-# perf trajectory of the dispatch layer and the allocation hot path. Usage:
+# benches and a short TPC-C run). The TPC-C numbers come from each run's
+# "#METRICS {json}" line, the micro-bench counters from google-benchmark's
+# JSON output. Future PRs diff these files to see the perf trajectory of the
+# dispatch layer and the allocation hot path. Usage:
 #   scripts/bench_smoke.sh [seconds-per-point] [sched.json] [alloc.json] [btree.json]
 set -eu
 
@@ -22,94 +24,97 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" \
   micro_btree \
   >/dev/null
 
+# Reads bench output on stdin and prints the snapshot of every
+# "#METRICS {json}" line as one JSON list. Fails when a line does not parse
+# as JSON or when there is none.
+metrics_of() {
+  python3 -c '
+import json, sys
+out = [json.loads(line[len("#METRICS "):])
+       for line in sys.stdin if line.startswith("#METRICS ")]
+assert out, "no #METRICS line in the bench output"
+json.dump(out, sys.stdout)
+'
+}
+
 RAW=$("$BUILD_DIR/bench/exp2_scalability" \
   --sweep=1,4,8 \
   --seconds="$SECONDS_PER_POINT" \
   --warmup=0.5 \
   --warehouses=4)
 echo "$RAW"
+SCHED_METRICS=$(printf '%s\n' "$RAW" | metrics_of)
 
-# Each point prints one machine-parseable line:
-#   #SCHED workers=N tpmC=... tpm=... submitted=... pulled=... stolen=...
-#   steal_fails=... parks=... spurious=... qhwm=...
-echo "$RAW" | awk -v secs="$SECONDS_PER_POINT" '
-  BEGIN { n = 0 }
-  /^#SCHED / {
-    line = ""
-    for (i = 2; i <= NF; ++i) {
-      split($i, kv, "=")
-      v = kv[2]
-      line = line sprintf("%s\"%s\": %s", (line == "" ? "" : ", "), kv[1], v)
+# One point per sweep step: tpmC plus the scheduler's total dispatch
+# counters (the snapshot's sched.* entries, prefix dropped).
+SCHED_METRICS="$SCHED_METRICS" python3 - "$OUT" "$SECONDS_PER_POINT" <<'EOF'
+import json, os, sys
+points = []
+for m in json.loads(os.environ["SCHED_METRICS"]):
+    point = {
+        "workers": sum(1 for k in m
+                       if k.startswith("sched.w") and k.endswith(".pulled")),
+        "tpmC": round(m["tpcc.tpmc"]),
+        "tpm": round(m["tpcc.tpm"]),
     }
-    points[n++] = "    {" line "}"
-  }
-  END {
-    printf "{\n"
-    printf "  \"bench\": \"tpcc_sched_smoke\",\n"
-    printf "  \"seconds_per_point\": %s,\n", secs
-    printf "  \"points\": [\n"
-    for (i = 0; i < n; ++i) {
-      printf "%s%s\n", points[i], (i + 1 < n ? "," : "")
-    }
-    printf "  ]\n}\n"
-  }
-' > "$OUT"
+    point.update({k[len("sched."):]: v for k, v in m.items()
+                  if k.startswith("sched.") and not k.startswith("sched.w")})
+    points.append(point)
+doc = {
+    "bench": "tpcc_sched_smoke",
+    "seconds_per_point": float(sys.argv[2]),
+    "points": points,
+}
+with open(sys.argv[1], "w") as f:
+    json.dump(doc, f, indent=2)
+    f.write("\n")
+EOF
 
 echo "wrote $OUT"
 
 # --- Allocation smoke ------------------------------------------------------
 # Micro benches report heap_allocs_per_op / arena_bytes_per_op counters for
 # the EncodeTo/arena codec paths and the visibility chain walk; the TPC-C
-# run prints the driver's "#ALLOC allocs_per_txn=..." line.
-MICRO=$("$BUILD_DIR/bench/micro_coding" --benchmark_filter=Allocs \
-          --benchmark_min_time=0.1 2>/dev/null
-        "$BUILD_DIR/bench/micro_mvcc" --benchmark_filter=Allocs \
-          --benchmark_min_time=0.1 2>/dev/null)
-echo "$MICRO"
-
+# run's snapshot carries the driver's tpcc.*_per_txn allocation rates.
+MICRO_CODING=$("$BUILD_DIR/bench/micro_coding" --benchmark_filter=Allocs \
+  --benchmark_min_time=0.1 --benchmark_format=json 2>/dev/null)
+MICRO_MVCC=$("$BUILD_DIR/bench/micro_mvcc" --benchmark_filter=Allocs \
+  --benchmark_min_time=0.1 --benchmark_format=json 2>/dev/null)
 TPCC=$("$BUILD_DIR/examples/order_management" 1 "$SECONDS_PER_POINT")
-echo "$TPCC" | grep '^#ALLOC ' || true
+echo "$TPCC"
+TPCC_METRICS=$(printf '%s\n' "$TPCC" | metrics_of)
 
-{
-  echo "$MICRO"
-  echo "$TPCC" | grep '^#ALLOC ' || true
-} | awk '
-  BEGIN { n = 0; alloc = "" }
-  # Console lines like:
-  #   BM_RowEncodeToArenaAllocs  63 ns  63 ns  100 arena_bytes_per_op=0 ...
-  /^BM_[A-Za-z0-9_]*Allocs / {
-    line = ""
-    for (i = 2; i <= NF; ++i) {
-      if (split($i, kv, "=") != 2) continue
-      line = line sprintf("%s\"%s\": %s", (line == "" ? "" : ", "),
-                          kv[1], kv[2])
-    }
-    micro[n++] = sprintf("    {\"name\": \"%s\", %s}", $1, line)
-  }
-  /^#ALLOC / {
-    for (i = 2; i <= NF; ++i) {
-      split($i, kv, "=")
-      alloc = alloc sprintf("%s\"%s\": %s", (alloc == "" ? "" : ", "),
-                            kv[1], kv[2])
-    }
-  }
-  END {
-    printf "{\n"
-    printf "  \"bench\": \"alloc_smoke\",\n"
-    printf "  \"micro\": [\n"
-    for (i = 0; i < n; ++i) {
-      printf "%s%s\n", micro[i], (i + 1 < n ? "," : "")
-    }
-    printf "  ],\n"
-    printf "  \"tpcc\": {%s},\n", alloc
+MICRO_CODING="$MICRO_CODING" MICRO_MVCC="$MICRO_MVCC" \
+TPCC_METRICS="$TPCC_METRICS" python3 - "$ALLOC_OUT" <<'EOF'
+import json, os, sys
+micro = []
+for var in ("MICRO_CODING", "MICRO_MVCC"):
+    for b in json.loads(os.environ[var]).get("benchmarks", []):
+        if b.get("run_type", "iteration") != "iteration":
+            continue
+        point = {"name": b["name"]}
+        point.update({k: v for k, v in b.items() if k.endswith("_per_op")})
+        micro.append(point)
+m = json.loads(os.environ["TPCC_METRICS"])[-1]
+doc = {
+    "bench": "alloc_smoke",
+    "micro": micro,
+    "tpcc": {
+        "allocs_per_txn": round(m["tpcc.allocs_per_txn"], 1),
+        "heap_bytes_per_txn": round(m["tpcc.heap_bytes_per_txn"]),
+        "arena_bytes_per_txn": round(m["tpcc.arena_bytes_per_txn"]),
+        "txns": m["tpcc.commits"],
+    },
     # Pre-arena reference, measured at the growth seed with a temporary
     # operator-new counter (EXPERIMENTS.md Exp 7): the hot-path rewrite
     # must stay >= 5x below it.
-    printf "  \"baseline_pre_arena\": {\"allocs_per_txn\": 895.5, "
-    printf "\"heap_bytes_per_txn\": 96588}\n"
-    printf "}\n"
-  }
-' > "$ALLOC_OUT"
+    "baseline_pre_arena": {"allocs_per_txn": 895.5,
+                           "heap_bytes_per_txn": 96588},
+}
+with open(sys.argv[1], "w") as f:
+    json.dump(doc, f, indent=2)
+    f.write("\n")
+EOF
 
 echo "wrote $ALLOC_OUT"
 

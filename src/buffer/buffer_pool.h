@@ -10,6 +10,7 @@
 
 #include "buffer/buffer_frame.h"
 #include "buffer/swip.h"
+#include "common/metrics.h"
 #include "common/status.h"
 #include "io/async_io.h"
 #include "io/page_file.h"
@@ -120,11 +121,19 @@ class BufferPool {
   }
   void AdvanceEpoch() { epoch_.fetch_add(1, std::memory_order_relaxed); }
 
+#define PHOEBE_BUFFER_POOL_STATS(X) \
+  X(allocations)                    \
+  X(evictions)                      \
+  X(loads)                          \
+  X(alloc_failures)
+
   struct Stats {
-    std::atomic<uint64_t> allocations{0};
-    std::atomic<uint64_t> evictions{0};
-    std::atomic<uint64_t> loads{0};
-    std::atomic<uint64_t> alloc_failures{0};
+    PHOEBE_BUFFER_POOL_STATS(PHOEBE_COUNTER_FIELD)
+
+    template <typename Fn>
+    void ForEach(Fn&& fn) const {
+      PHOEBE_BUFFER_POOL_STATS(PHOEBE_COUNTER_VISIT)
+    }
   };
   Stats& stats() { return stats_; }
 

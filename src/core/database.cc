@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 
 #include "common/arena.h"
 #include "common/profiler.h"
+#include "io/io_stats.h"
 #include "txn/twin_table.h"
 #include "wal/recovery.h"
 
@@ -68,8 +68,7 @@ Status Database::Init() {
 
   throttle_ = std::make_unique<BandwidthThrottle>(options_.io_bandwidth_limit);
 
-  auto data_file =
-      PageFile::Open(env_, options_.path + "/data.pages", options_.direct_io);
+  auto data_file = PageFile::Open(env_, options_.path + "/data.pages");
   if (!data_file.ok()) return data_file.status();
   data_file_ = std::move(data_file.value());
   if (options_.io_bandwidth_limit > 0) {
@@ -79,7 +78,6 @@ Status Database::Init() {
   BufferPool::Options pool_opts;
   pool_opts.buffer_bytes = options_.buffer_bytes;
   pool_opts.partitions = options_.workers;
-  pool_opts.io_threads = options_.io_threads;
   pool_ = std::make_unique<BufferPool>(pool_opts, data_file_.get());
   registry_ = std::make_unique<BTreeRegistry>(pool_.get());
 
@@ -90,13 +88,12 @@ Status Database::Init() {
   wal_opts.dir = options_.wal_dir;
   wal_opts.num_writers =
       options_.baseline_single_wal_writer ? 1 : options_.total_slots();
-  wal_opts.flusher_threads = options_.wal_flushers;
+  // The pool's I/O threads and the WAL's flush interval and buffer size
+  // keep their component defaults; the engine runs two flushers.
+  wal_opts.flusher_threads = 2;
   wal_opts.sync_on_flush = options_.wal_sync;
   wal_opts.enable_rfa =
       options_.enable_rfa && !options_.baseline_single_wal_writer;
-  wal_opts.flush_interval_us = options_.wal_flush_interval_us;
-  wal_opts.writer_buffer_bytes =
-      static_cast<size_t>(options_.wal_writer_buffer_bytes);
   auto wal = WalManager::Open(env_, wal_opts);
   if (!wal.ok()) return wal.status();
   wal_ = std::move(wal.value());
@@ -293,23 +290,6 @@ Status Database::RunRecovery(uint64_t watermark_gsn, uint64_t checkpoint_ts) {
 
   // Make the recovered state durable and truncate the log.
   return CheckpointNow();
-}
-
-std::string Database::RecoveryInfo::ToLine() const {
-  char buf[256];
-  snprintf(buf, sizeof(buf),
-           "#RECOVERY ran=%d used_checkpoint=%d watermark=%llu replayed=%llu "
-           "skipped_ckpt=%llu skipped_uncommitted=%llu committed_txns=%llu "
-           "torn_tails=%llu wal_bytes=%llu elapsed_ms=%.2f",
-           ran ? 1 : 0, used_checkpoint ? 1 : 0,
-           static_cast<unsigned long long>(watermark_gsn),
-           static_cast<unsigned long long>(records_replayed),
-           static_cast<unsigned long long>(skipped_checkpointed),
-           static_cast<unsigned long long>(skipped_uncommitted),
-           static_cast<unsigned long long>(committed_txns),
-           static_cast<unsigned long long>(torn_tails),
-           static_cast<unsigned long long>(wal_bytes_scanned), elapsed_ms);
-  return buf;
 }
 
 // ---------------------------------------------------------------------------
@@ -764,44 +744,53 @@ Status Database::CheckpointLocked() {
   return Status::OK();
 }
 
-Database::Stats Database::GetStats() const {
-  Stats s;
-  s.buffer_frames_total =
-      pool_->frames_per_partition() * pool_->partitions();
+MetricList Database::Metrics(const Scheduler* scheduler) const {
+  MetricList m;
+  AppendMetrics("io.", IoStats::Global(), &m);
+
+  AppendMetrics("buffer.", pool_->stats(), &m);
+  uint64_t frames_free = 0;
   for (uint32_t p = 0; p < pool_->partitions(); ++p) {
-    s.buffer_frames_free += pool_->FreeFrames(p);
+    frames_free += pool_->FreeFrames(p);
   }
-  s.buffer_evictions = pool_->stats().evictions.load();
-  s.buffer_loads = pool_->stats().loads.load();
-  s.live_undo_records = txn_mgr_->TotalLiveUndo();
-  s.wal_bytes_flushed = wal_->TotalBytesFlushed();
-  s.data_pages_on_disk = data_file_->num_pages();
+  m.push_back({"buffer.frames_total",
+               static_cast<double>(pool_->frames_per_partition() *
+                                   pool_->partitions())});
+  m.push_back({"buffer.frames_free", static_cast<double>(frames_free)});
+
+  AppendMetrics("wal.", wal_->pipeline_stats(), &m);
+  m.push_back(
+      {"wal.bytes_flushed", static_cast<double>(wal_->TotalBytesFlushed())});
+  AppendMetrics("checkpoint.", ckpt_stats_, &m);
+  AppendMetrics("recovery.", recovery_info_, &m);
+
+  uint32_t active = 0;
   for (uint32_t i = 0; i < txn_mgr_->num_slots(); ++i) {
     if (txn_mgr_->slot(i).active_xid.load(std::memory_order_acquire) != 0) {
-      s.active_transactions += 1;
+      active += 1;
     }
   }
-  s.clock_now = clock_.Current();
-  return s;
-}
+  m.push_back(
+      {"txn.live_undo", static_cast<double>(txn_mgr_->TotalLiveUndo())});
+  m.push_back({"txn.active", static_cast<double>(active)});
+  m.push_back({"txn.clock", static_cast<double>(clock_.Current())});
 
-std::string Database::GetStatsString() const {
-  Stats s = GetStats();
-  char buf[512];
-  snprintf(buf, sizeof(buf),
-           "buffer: %llu/%llu frames free, %llu evictions, %llu loads\n"
-           "undo: %llu live records; wal: %llu bytes flushed\n"
-           "disk: %llu data pages; txns: %u active; clock: %llu",
-           static_cast<unsigned long long>(s.buffer_frames_free),
-           static_cast<unsigned long long>(s.buffer_frames_total),
-           static_cast<unsigned long long>(s.buffer_evictions),
-           static_cast<unsigned long long>(s.buffer_loads),
-           static_cast<unsigned long long>(s.live_undo_records),
-           static_cast<unsigned long long>(s.wal_bytes_flushed),
-           static_cast<unsigned long long>(s.data_pages_on_disk),
-           s.active_transactions,
-           static_cast<unsigned long long>(s.clock_now));
-  return buf;
+  if (scheduler != nullptr) {
+    AppendMetrics("sched.", scheduler->TotalStats(), &m);
+    for (uint32_t w = 0; w < scheduler->options().workers; ++w) {
+      AppendMetrics("sched.w" + std::to_string(w) + ".",
+                    scheduler->WorkerStats(w), &m);
+    }
+  }
+
+  const Profiler::Totals alloc = Profiler::Aggregate();
+  m.push_back(
+      {"alloc.total_heap_allocs", static_cast<double>(alloc.total_heap_allocs)});
+  m.push_back(
+      {"alloc.total_heap_bytes", static_cast<double>(alloc.total_heap_bytes)});
+  m.push_back({"alloc.arena_allocs", static_cast<double>(alloc.arena_allocs)});
+  m.push_back({"alloc.arena_bytes", static_cast<double>(alloc.arena_bytes)});
+  return m;
 }
 
 Status Database::Close() {

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "baseline/pg_snapshot.h"
+#include "common/metrics.h"
 #include "core/catalog.h"
 #include "core/options.h"
 #include "core/table.h"
@@ -102,13 +103,20 @@ class Database {
   Status RequestCheckpoint();
 
   /// Counters for the background checkpointer (readable while it runs).
+#define PHOEBE_CHECKPOINT_STATS(X)                                      \
+  X(attempts)                                                           \
+  X(completed)                                                          \
+  X(quiesce_timeouts)                                                   \
+  X(failures)                                                           \
+  X(last_watermark) /* GSN watermark of the last completed checkpoint */
+
   struct CheckpointStats {
-    std::atomic<uint64_t> attempts{0};
-    std::atomic<uint64_t> completed{0};
-    std::atomic<uint64_t> quiesce_timeouts{0};
-    std::atomic<uint64_t> failures{0};
-    /// GSN watermark of the last completed checkpoint.
-    std::atomic<uint64_t> last_watermark{0};
+    PHOEBE_CHECKPOINT_STATS(PHOEBE_COUNTER_FIELD)
+
+    template <typename Fn>
+    void ForEach(Fn&& fn) const {
+      PHOEBE_CHECKPOINT_STATS(PHOEBE_COUNTER_VISIT)
+    }
   };
   const CheckpointStats& checkpoint_stats() const { return ckpt_stats_; }
 
@@ -150,41 +158,44 @@ class Database {
   EngineDeps* deps() { return &deps_; }
   BandwidthThrottle* throttle() { return throttle_.get(); }
 
-  /// Point-in-time engine statistics (diagnostics / examples / benches).
-  struct Stats {
-    uint64_t buffer_frames_total = 0;
-    uint64_t buffer_frames_free = 0;
-    uint64_t buffer_evictions = 0;
-    uint64_t buffer_loads = 0;
-    uint64_t live_undo_records = 0;
-    uint64_t wal_bytes_flushed = 0;
-    uint64_t data_pages_on_disk = 0;
-    uint32_t active_transactions = 0;
-    uint64_t clock_now = 0;
-  };
-  Stats GetStats() const;
-  std::string GetStatsString() const;
+  /// What the crash recovery at Open did (all zero after a clean start).
+#define PHOEBE_RECOVERY_INFO(X)                                              \
+  X(bool, ran)                                                               \
+  X(uint64_t, records_replayed)                                              \
+  X(uint64_t, committed_txns)                                                \
+  X(uint64_t, skipped_uncommitted)                                           \
+  /* WAL files whose tail was torn by the crash (clean prefix recovered) */  \
+  X(uint64_t, torn_tails)                                                    \
+  /* True when a clean checkpoint image bounded the replay */                \
+  X(bool, used_checkpoint)                                                   \
+  /* Checkpoint GSN watermark applied to the scan (0 = full replay) */       \
+  X(uint64_t, watermark_gsn)                                                 \
+  /* Records below the watermark, already in the checkpoint image */         \
+  X(uint64_t, skipped_checkpointed)                                          \
+  X(uint64_t, wal_bytes_scanned)                                             \
+  X(double, elapsed_ms)
 
   struct RecoveryInfo {
-    bool ran = false;
-    uint64_t records_replayed = 0;
-    uint64_t committed_txns = 0;
-    uint64_t skipped_uncommitted = 0;
-    /// WAL files whose tail was torn by the crash (clean prefix recovered).
-    uint64_t torn_tails = 0;
-    /// True when a clean checkpoint image bounded the replay.
-    bool used_checkpoint = false;
-    /// Checkpoint GSN watermark applied to the scan (0 = full replay).
-    uint64_t watermark_gsn = 0;
-    /// Records below the watermark, already in the checkpoint image.
-    uint64_t skipped_checkpointed = 0;
-    uint64_t wal_bytes_scanned = 0;
-    double elapsed_ms = 0.0;
+#define PHOEBE_RECOVERY_FIELD(type, name) type name{};
+    PHOEBE_RECOVERY_INFO(PHOEBE_RECOVERY_FIELD)
+#undef PHOEBE_RECOVERY_FIELD
 
-    /// One-line diagnostic ("#RECOVERY ...") for benches and logs.
-    std::string ToLine() const;
+    template <typename Fn>
+    void ForEach(Fn&& fn) const {
+#define PHOEBE_RECOVERY_VISIT(type, name) fn(#name, static_cast<double>(name));
+      PHOEBE_RECOVERY_INFO(PHOEBE_RECOVERY_VISIT)
+#undef PHOEBE_RECOVERY_VISIT
+    }
   };
   const RecoveryInfo& recovery_info() const { return recovery_info_; }
+
+  /// Point-in-time snapshot of every layer's counters, in order: io.*,
+  /// buffer.*, wal.*, checkpoint.*, recovery.*, txn.*, then — when
+  /// `scheduler` is given — its totals as sched.* and each worker's as
+  /// sched.w<N>.*, and last the process-wide allocation totals as alloc.*.
+  /// Safe to call while transactions run; each counter is read on its own,
+  /// so the snapshot is approximate but tear-free.
+  MetricList Metrics(const Scheduler* scheduler = nullptr) const;
 
  private:
   explicit Database(const DatabaseOptions& options);

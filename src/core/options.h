@@ -29,15 +29,8 @@ struct DatabaseOptions {
   uint32_t slots_per_worker = 8;  // task slots per worker (paper: 32)
   uint32_t aux_slots = 8;         // extra slots for loader/maintenance/tests
 
-  uint32_t io_threads = 2;
-  bool direct_io = false;
-
   bool wal_sync = true;           // fdatasync on WAL flush (paper: enabled)
   bool enable_rfa = true;         // Remote Flush Avoidance (Section 8)
-  uint32_t wal_flushers = 2;
-  uint32_t wal_flush_interval_us = 100;
-  /// Per-writer WAL pipeline buffer capacity (two buffers per writer).
-  uint64_t wal_writer_buffer_bytes = 64 << 10;
 
   /// Baseline ("traditional RDBMS") switches.
   bool baseline_single_wal_writer = false;  // centralized, serialized WAL
@@ -51,9 +44,6 @@ struct DatabaseOptions {
   uint32_t freeze_access_threshold = 2;  // accesses/epoch below -> freezable
   uint32_t freeze_epoch_age = 4;         // epochs untouched before freezing
   uint64_t warm_read_threshold = 64;     // frozen block reads before warming
-  /// Total decoded-block cache capacity per frozen store (spread over the
-  /// cache's internal shards; the scan paths bypass it).
-  uint32_t frozen_cache_blocks = 64;
 
   /// Exp 9 O-DB stand-in: cap data-file bandwidth (bytes/s; 0 = off).
   uint64_t io_bandwidth_limit = 0;

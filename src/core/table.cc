@@ -116,8 +116,7 @@ Status Table::Create() {
                             BTree::TreeKind::kTable, &schema_, &layout_);
   if (!tree.ok()) return tree.status();
   tree_ = std::move(tree.value());
-  auto frozen = FrozenStore::Open(deps_->env, deps_->dir, name_, &schema_,
-                                  deps_->options->frozen_cache_blocks);
+  auto frozen = FrozenStore::Open(deps_->env, deps_->dir, name_, &schema_);
   if (!frozen.ok()) return frozen.status();
   frozen_ = std::move(frozen.value());
   return Status::OK();
@@ -130,8 +129,7 @@ Status Table::OpenFromCheckpoint(PageId root, RowId next_row_id) {
   if (!tree.ok()) return tree.status();
   tree_ = std::move(tree.value());
   next_row_id_.store(next_row_id, std::memory_order_relaxed);
-  auto frozen = FrozenStore::Open(deps_->env, deps_->dir, name_, &schema_,
-                                  deps_->options->frozen_cache_blocks);
+  auto frozen = FrozenStore::Open(deps_->env, deps_->dir, name_, &schema_);
   if (!frozen.ok()) return frozen.status();
   frozen_ = std::move(frozen.value());
   return Status::OK();

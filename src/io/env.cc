@@ -103,15 +103,7 @@ class PosixEnv : public Env {
     int flags = opts.read_only ? O_RDONLY : O_RDWR;
     if (opts.create && !opts.read_only) flags |= O_CREAT;
     if (opts.truncate) flags |= O_TRUNC;
-#ifdef O_DIRECT
-    if (opts.direct_io) flags |= O_DIRECT;
-#endif
     int fd = ::open(path.c_str(), flags, 0644);
-    if (fd < 0 && opts.direct_io) {
-      // Some filesystems (tmpfs) reject O_DIRECT; fall back to buffered.
-      flags &= ~O_DIRECT;
-      fd = ::open(path.c_str(), flags, 0644);
-    }
     if (fd < 0) return ErrnoStatus("open " + path, errno);
     struct stat st;
     if (::fstat(fd, &st) != 0) {

@@ -40,7 +40,6 @@ class Env {
   struct OpenOptions {
     bool create = true;
     bool truncate = false;
-    bool direct_io = false;  // O_DIRECT where supported (alignment required)
     bool read_only = false;
   };
 

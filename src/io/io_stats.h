@@ -1,9 +1,7 @@
 #ifndef PHOEBE_IO_IO_STATS_H_
 #define PHOEBE_IO_IO_STATS_H_
 
-#include <atomic>
-#include <cstdint>
-#include <string>
+#include "common/metrics.h"
 
 namespace phoebe {
 
@@ -11,60 +9,34 @@ namespace phoebe {
 /// disk-throughput experiments (Exp 3 and Exp 4) sample these per second.
 /// The degradation counters (retries, CRC re-reads, quarantines, injected
 /// faults, sync failures) make graceful-degradation behaviour observable in
-/// the bench harness and the fault-injection test suites.
-struct IoStats {
-  std::atomic<uint64_t> data_bytes_read{0};
-  std::atomic<uint64_t> data_bytes_written{0};
-  std::atomic<uint64_t> data_reads{0};
-  std::atomic<uint64_t> data_writes{0};
-  std::atomic<uint64_t> wal_bytes_written{0};
-  std::atomic<uint64_t> wal_flushes{0};
+/// the metrics snapshot and the fault-injection test suites.
+#define PHOEBE_IO_STATS(X)                                                  \
+  X(data_bytes_read)                                                        \
+  X(data_bytes_written)                                                     \
+  X(data_reads)                                                             \
+  X(data_writes)                                                            \
+  X(wal_bytes_written)                                                      \
+  X(wal_flushes)                                                            \
+  X(read_retries)      /* transient read errors retried */                  \
+  X(write_retries)     /* transient write errors retried */                 \
+  X(crc_rereads)       /* page/block CRC mismatch re-reads */               \
+  X(pages_quarantined) /* pages failed twice, fenced off */                 \
+  X(injected_faults)   /* faults injected by a test Env */                  \
+  X(wal_sync_failures) /* WAL fsync errors (fail-stop) */
 
-  /// Degradation / fault-handling counters.
-  std::atomic<uint64_t> read_retries{0};       // transient read errors retried
-  std::atomic<uint64_t> write_retries{0};      // transient write errors retried
-  std::atomic<uint64_t> crc_rereads{0};        // page/block CRC mismatch re-reads
-  std::atomic<uint64_t> pages_quarantined{0};  // pages failed twice, fenced off
-  std::atomic<uint64_t> injected_faults{0};    // faults injected by a test Env
-  std::atomic<uint64_t> wal_sync_failures{0};  // WAL fsync errors (fail-stop)
+struct IoStats {
+  PHOEBE_IO_STATS(PHOEBE_COUNTER_FIELD)
 
   static IoStats& Global() {
     static IoStats* s = new IoStats();
     return *s;
   }
 
-  void Reset() {
-    data_bytes_read = 0;
-    data_bytes_written = 0;
-    data_reads = 0;
-    data_writes = 0;
-    wal_bytes_written = 0;
-    wal_flushes = 0;
-    read_retries = 0;
-    write_retries = 0;
-    crc_rereads = 0;
-    pages_quarantined = 0;
-    injected_faults = 0;
-    wal_sync_failures = 0;
-  }
+  void Reset() { PHOEBE_IO_STATS(PHOEBE_COUNTER_RESET) }
 
-  /// One-line summary of the degradation counters; empty when all are zero
-  /// so healthy bench runs stay quiet.
-  std::string DegradationString() const {
-    uint64_t rr = read_retries.load(std::memory_order_relaxed);
-    uint64_t wr = write_retries.load(std::memory_order_relaxed);
-    uint64_t cr = crc_rereads.load(std::memory_order_relaxed);
-    uint64_t q = pages_quarantined.load(std::memory_order_relaxed);
-    uint64_t inj = injected_faults.load(std::memory_order_relaxed);
-    uint64_t sf = wal_sync_failures.load(std::memory_order_relaxed);
-    if (rr + wr + cr + q + inj + sf == 0) return std::string();
-    std::string out = "degradation: read_retries=" + std::to_string(rr) +
-                      " write_retries=" + std::to_string(wr) +
-                      " crc_rereads=" + std::to_string(cr) +
-                      " quarantined=" + std::to_string(q) +
-                      " injected_faults=" + std::to_string(inj) +
-                      " wal_sync_failures=" + std::to_string(sf);
-    return out;
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    PHOEBE_IO_STATS(PHOEBE_COUNTER_VISIT)
   }
 };
 

@@ -31,11 +31,9 @@ Status VerifyPageCrc(const char* page, PageId id) {
 }
 
 Result<std::unique_ptr<PageFile>> PageFile::Open(Env* env,
-                                                 const std::string& path,
-                                                 bool direct_io) {
+                                                 const std::string& path) {
   Env::OpenOptions opts;
   opts.create = true;
-  opts.direct_io = direct_io;
   std::unique_ptr<File> file;
   Status st = env->OpenFile(path, opts, &file);
   if (!st.ok()) return Result<std::unique_ptr<PageFile>>(st);

@@ -31,8 +31,7 @@ class PageFile {
  public:
   /// Opens (creating if needed) the page file at `path`.
   static Result<std::unique_ptr<PageFile>> Open(Env* env,
-                                                const std::string& path,
-                                                bool direct_io = false);
+                                                const std::string& path);
 
   /// Reads page `id` into `buf` (must hold kPageSize bytes). Transient
   /// kIOError failures are absorbed by a bounded retry-with-backoff; a

@@ -1,7 +1,6 @@
 #include "runtime/scheduler.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #ifdef __linux__
 #include <pthread.h>
@@ -22,31 +21,6 @@ constexpr uint32_t kMinParkUs = 50;
 constexpr uint32_t kMaxParkUs = 1600;
 
 }  // namespace
-
-void SchedulerStats::Add(const SchedulerStats& o) {
-  submitted += o.submitted;
-  pulled += o.pulled;
-  stolen += o.stolen;
-  steal_fail_probes += o.steal_fail_probes;
-  parks += o.parks;
-  spurious_wakeups += o.spurious_wakeups;
-  queue_depth_hwm = std::max(queue_depth_hwm, o.queue_depth_hwm);
-}
-
-std::string SchedulerStats::ToString() const {
-  char buf[192];
-  snprintf(buf, sizeof(buf),
-           "submitted=%llu pulled=%llu stolen=%llu steal_fails=%llu "
-           "parks=%llu spurious=%llu qhwm=%llu",
-           static_cast<unsigned long long>(submitted),
-           static_cast<unsigned long long>(pulled),
-           static_cast<unsigned long long>(stolen),
-           static_cast<unsigned long long>(steal_fail_probes),
-           static_cast<unsigned long long>(parks),
-           static_cast<unsigned long long>(spurious_wakeups),
-           static_cast<unsigned long long>(queue_depth_hwm));
-  return buf;
-}
 
 Scheduler::Scheduler(const Options& options, Hooks hooks)
     : options_(options), hooks_(std::move(hooks)) {
@@ -233,23 +207,11 @@ void Scheduler::SubmitBatch(std::vector<TaskFn> fns) {
 SchedulerStats Scheduler::WorkerStats(uint32_t worker_id) const {
   SchedulerStats s;
   const WorkerShard& sh = *shards_[worker_id % options_.workers];
-  s.submitted = sh.submitted.load(std::memory_order_relaxed);
-  s.pulled = sh.pulled.load(std::memory_order_relaxed);
-  s.stolen = sh.stolen.load(std::memory_order_relaxed);
-  s.steal_fail_probes = sh.steal_fail_probes.load(std::memory_order_relaxed);
-  s.parks = sh.parks.load(std::memory_order_relaxed);
-  s.spurious_wakeups = sh.spurious_wakeups.load(std::memory_order_relaxed);
-  s.queue_depth_hwm = sh.queue_depth_hwm.load(std::memory_order_relaxed);
+#define PHOEBE_SCHED_COPY(name, merge) \
+  s.name = sh.name.load(std::memory_order_relaxed);
+  PHOEBE_SCHEDULER_STATS(PHOEBE_SCHED_COPY)
+#undef PHOEBE_SCHED_COPY
   return s;
-}
-
-std::vector<SchedulerStats> Scheduler::PerWorkerStats() const {
-  std::vector<SchedulerStats> out;
-  out.reserve(options_.workers);
-  for (uint32_t w = 0; w < options_.workers; ++w) {
-    out.push_back(WorkerStats(w));
-  }
-  return out;
 }
 
 SchedulerStats Scheduler::TotalStats() const {

@@ -7,7 +7,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -33,18 +32,36 @@ using TaskFn = std::function<TxnTask(TaskEnv*)>;
 /// Per-worker dispatch counters (Section 7.1 scaled past a single queue).
 /// All counters are monotonic; a snapshot taken while the scheduler runs is
 /// approximate but tear-free (each field is an independent relaxed atomic in
-/// the shard).
-struct SchedulerStats {
-  uint64_t submitted = 0;          // tasks enqueued to this worker's shard
-  uint64_t pulled = 0;             // tasks taken from the own run queue
-  uint64_t stolen = 0;             // tasks stolen from other workers
-  uint64_t steal_fail_probes = 0;  // victim probes that yielded nothing
-  uint64_t parks = 0;              // times the worker blocked on its condvar
-  uint64_t spurious_wakeups = 0;   // parks that ended with no work available
-  uint64_t queue_depth_hwm = 0;    // high-water mark of the shard queue depth
+/// the shard). The second column names how Add merges two workers' values.
+#define PHOEBE_SCHEDULER_STATS(X)                                          \
+  X(submitted, Sum)         /* tasks enqueued to this worker's shard */    \
+  X(pulled, Sum)            /* tasks taken from the own run queue */       \
+  X(stolen, Sum)            /* tasks stolen from other workers */          \
+  X(steal_fail_probes, Sum) /* victim probes that yielded nothing */       \
+  X(parks, Sum)             /* times the worker blocked on its condvar */  \
+  X(spurious_wakeups, Sum)  /* parks that ended with no work available */  \
+  X(queue_depth_hwm, Max)   /* high-water mark of the shard queue depth */
 
-  void Add(const SchedulerStats& o);
-  std::string ToString() const;
+struct SchedulerStats {
+#define PHOEBE_SCHED_FIELD(name, merge) uint64_t name = 0;
+  PHOEBE_SCHEDULER_STATS(PHOEBE_SCHED_FIELD)
+#undef PHOEBE_SCHED_FIELD
+
+  static uint64_t Sum(uint64_t a, uint64_t b) { return a + b; }
+  static uint64_t Max(uint64_t a, uint64_t b) { return a > b ? a : b; }
+
+  void Add(const SchedulerStats& o) {
+#define PHOEBE_SCHED_ADD(name, merge) name = merge(name, o.name);
+    PHOEBE_SCHEDULER_STATS(PHOEBE_SCHED_ADD)
+#undef PHOEBE_SCHED_ADD
+  }
+
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+#define PHOEBE_SCHED_VISIT(name, merge) fn(#name, static_cast<double>(name));
+    PHOEBE_SCHEDULER_STATS(PHOEBE_SCHED_VISIT)
+#undef PHOEBE_SCHED_VISIT
+  }
 };
 
 /// The co-routine pool runtime with the pull-based smart scheduler
@@ -127,9 +144,8 @@ class Scheduler {
   }
   const Options& options() const { return options_; }
 
-  /// Snapshot of one worker's dispatch counters / of all workers / summed.
+  /// Snapshot of one worker's dispatch counters / of all workers summed.
   SchedulerStats WorkerStats(uint32_t worker_id) const;
-  std::vector<SchedulerStats> PerWorkerStats() const;
   SchedulerStats TotalStats() const;
 
  private:
@@ -157,13 +173,9 @@ class Scheduler {
     /// by submitters deciding whether a notify syscall is needed.
     std::atomic<bool> parked{false};
     // Stats counters: relaxed atomics so live snapshots are tear-free.
-    std::atomic<uint64_t> submitted{0};
-    std::atomic<uint64_t> pulled{0};
-    std::atomic<uint64_t> stolen{0};
-    std::atomic<uint64_t> steal_fail_probes{0};
-    std::atomic<uint64_t> parks{0};
-    std::atomic<uint64_t> spurious_wakeups{0};
-    std::atomic<uint64_t> queue_depth_hwm{0};
+#define PHOEBE_SCHED_ATOMIC(name, merge) std::atomic<uint64_t> name{0};
+    PHOEBE_SCHEDULER_STATS(PHOEBE_SCHED_ATOMIC)
+#undef PHOEBE_SCHED_ATOMIC
   };
 
   enum class EnqueueResult { kOk, kFull, kStopped };

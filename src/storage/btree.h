@@ -119,11 +119,6 @@ class BTree {
   Status IndexScan(OpContext* ctx, const Slice& lo, const Slice& hi,
                    const std::function<bool(Slice, uint64_t)>& cb);
 
-  /// Descending scan over keys < hi_exclusive, newest-first, starting from
-  /// the largest key below `hi_exclusive` and stopping below `lo`.
-  Status IndexScanDesc(OpContext* ctx, const Slice& lo, const Slice& hi,
-                       const std::function<bool(Slice, uint64_t)>& cb);
-
   /// --- Table-tree operations ------------------------------------------------
 
   /// Appends a fresh rightmost PAX leaf anchored at `first_row_id`. Called
@@ -247,9 +242,6 @@ class BTreeRegistry {
   /// Moves up to `count` random evictable hot frames of `partition` into the
   /// cooling stage (HOT -> COOLING swip transition).
   int CoolRandomFrames(OpContext* ctx, uint32_t partition, int count);
-
-  /// Attempts to evict one cooling frame; returns true if a frame was freed.
-  bool TryEvictOneCooling(OpContext* ctx, uint32_t partition);
 
   /// Pops up to `max_n` cooling frames, latches them, and writes the ones
   /// needing persistence back through the async I/O engine as ONE batch

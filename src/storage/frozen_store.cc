@@ -29,9 +29,8 @@ constexpr size_t kManifestRecordSize = 8 + 4 + 8 + 8 + 8 + 4;
 
 Result<std::unique_ptr<FrozenStore>> FrozenStore::Open(
     Env* env, const std::string& dir, const std::string& name,
-    const Schema* schema, size_t cache_blocks) {
-  std::unique_ptr<FrozenStore> store(
-      new FrozenStore(env, dir, name, schema, cache_blocks));
+    const Schema* schema) {
+  std::unique_ptr<FrozenStore> store(new FrozenStore(env, dir, name, schema));
   Env::OpenOptions opts;
   Status st = env->OpenFile(BlockPath(dir, name), opts, &store->block_file_);
   if (!st.ok()) return Result<std::unique_ptr<FrozenStore>>(st);
@@ -202,13 +201,10 @@ FrozenStore::GetBlockLocked(RowId rid, BlockMeta** meta_out) {
 
 std::shared_ptr<FrozenBlockCodec::DecodedBlock> FrozenStore::CacheLookup(
     RowId first) {
-  CacheShard& shard = cache_shards_[ShardOf(first)];
-  std::lock_guard<std::mutex> lk(shard.mu);
-  for (auto c = shard.lru.begin(); c != shard.lru.end(); ++c) {
+  for (auto c = cache_.begin(); c != cache_.end(); ++c) {
     if (c->first == first) {
-      auto block = c->second;
-      shard.lru.splice(shard.lru.begin(), shard.lru, c);  // move to front
-      return block;
+      cache_.splice(cache_.begin(), cache_, c);  // move to front
+      return c->second;
     }
   }
   return nullptr;
@@ -216,13 +212,8 @@ std::shared_ptr<FrozenBlockCodec::DecodedBlock> FrozenStore::CacheLookup(
 
 void FrozenStore::CacheInsert(
     RowId first, std::shared_ptr<FrozenBlockCodec::DecodedBlock> block) {
-  CacheShard& shard = cache_shards_[ShardOf(first)];
-  std::lock_guard<std::mutex> lk(shard.mu);
-  for (const auto& entry : shard.lru) {
-    if (entry.first == first) return;  // raced with another reader
-  }
-  shard.lru.emplace_front(first, std::move(block));
-  if (shard.lru.size() > cache_per_shard_) shard.lru.pop_back();
+  cache_.emplace_front(first, std::move(block));
+  if (cache_.size() > kCacheBlocks) cache_.pop_back();
 }
 
 Status FrozenStore::ReadRow(RowId rid, std::string* row_out) {

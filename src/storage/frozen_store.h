@@ -1,8 +1,6 @@
 #ifndef PHOEBE_STORAGE_FROZEN_STORE_H_
 #define PHOEBE_STORAGE_FROZEN_STORE_H_
 
-#include <algorithm>
-#include <array>
 #include <functional>
 #include <list>
 #include <map>
@@ -27,19 +25,18 @@ namespace phoebe {
 ///   - a manifest (append-only) so blocks are discoverable after restart,
 ///   - a tombstone set for frozen rows that were deleted or warmed
 ///     (out-of-place updates: frozen data is never rewritten),
-///   - a decoded-block LRU cache sharded by block id so concurrent cold
-///     reads of different blocks don't serialize on one cache mutex,
+///   - a decoded-block LRU cache for point reads,
 ///   - per-block read counters driving read-warming decisions.
 class FrozenStore {
  public:
   /// Opens (or creates) the store under `dir` with file stem `name`.
-  /// `cache_blocks` is the total decoded-block cache capacity across all
-  /// shards (DatabaseOptions::frozen_cache_blocks).
   static Result<std::unique_ptr<FrozenStore>> Open(Env* env,
                                                    const std::string& dir,
                                                    const std::string& name,
-                                                   const Schema* schema,
-                                                   size_t cache_blocks = 64);
+                                                   const Schema* schema);
+
+  /// Capacity of the decoded-block cache, in blocks.
+  static constexpr size_t kCacheBlocks = 64;
 
   /// Appends a block of frozen rows (sorted, strictly increasing ids all
   /// greater than max_frozen_row_id) and durably records it in the manifest.
@@ -99,21 +96,20 @@ class FrozenStore {
   };
 
   FrozenStore(Env* env, std::string dir, std::string name,
-              const Schema* schema, size_t cache_blocks)
+              const Schema* schema)
       : env_(env), dir_(std::move(dir)), name_(std::move(name)),
-        schema_(schema),
-        cache_per_shard_(std::max<size_t>(1, cache_blocks / kCacheShards)) {}
+        schema_(schema) {}
 
   Status LoadManifest();
   Status LoadTombstones();
 
   /// Returns the decoded block containing `rid` (nullptr if none). Caller
-  /// holds mu_; the cache shard lock nests inside mu_.
+  /// holds mu_, which also guards the cache.
   Result<std::shared_ptr<FrozenBlockCodec::DecodedBlock>> GetBlockLocked(
       RowId rid, BlockMeta** meta_out);
 
-  /// Decoded-block cache, sharded by block first-row-id hash. Lookup moves
-  /// the hit to the shard's LRU front; insert evicts the shard's tail.
+  /// Decoded-block cache (caller holds mu_). Lookup moves the hit to the
+  /// LRU front; insert evicts the tail once over kCacheBlocks.
   std::shared_ptr<FrozenBlockCodec::DecodedBlock> CacheLookup(RowId first);
   void CacheInsert(RowId first,
                    std::shared_ptr<FrozenBlockCodec::DecodedBlock> block);
@@ -131,22 +127,11 @@ class FrozenStore {
   std::unordered_set<RowId> tombstones_;
   RowId max_frozen_row_id_ = 0;
 
-  /// Decoded-block LRU keyed by block first-row-id, sharded so concurrent
-  /// readers of different blocks contend on different mutexes. The scan
-  /// paths (ScanColumn*) bypass the cache entirely and read extents
+  /// Decoded-block LRU keyed by block first-row-id, guarded by mu_. The
+  /// scan paths (ScanColumn*) bypass the cache entirely and read extents
   /// directly, so a table scan cannot wipe the point-read working set.
-  static constexpr size_t kCacheShards = 8;
-  struct CacheShard {
-    std::mutex mu;
-    std::list<
-        std::pair<RowId, std::shared_ptr<FrozenBlockCodec::DecodedBlock>>>
-        lru;
-  };
-  static size_t ShardOf(RowId first) {
-    return static_cast<size_t>((first * 0x9E3779B97F4A7C15ull) >> 61);
-  }
-  const size_t cache_per_shard_;
-  std::array<CacheShard, kCacheShards> cache_shards_;
+  std::list<std::pair<RowId, std::shared_ptr<FrozenBlockCodec::DecodedBlock>>>
+      cache_;
 };
 
 }  // namespace phoebe

@@ -178,48 +178,7 @@ std::string DriverResult::Summary() const {
            static_cast<unsigned long long>(sys_aborts),
            static_cast<unsigned long long>(retries), wal_mb_per_s,
            seconds);
-  std::string out = buf;
-  // Allocation profile of the measured window (tentpole metric of the
-  // allocation-free hot path; see EXPERIMENTS.md Exp 7).
-  if (heap_allocs > 0 || arena_bytes > 0) {
-    snprintf(buf, sizeof(buf),
-             "\n#ALLOC allocs_per_txn=%.1f heap_bytes_per_txn=%.0f "
-             "arena_bytes_per_txn=%.0f heap_allocs=%llu txns=%llu",
-             heap_allocs_per_txn, heap_bytes_per_txn, arena_bytes_per_txn,
-             static_cast<unsigned long long>(heap_allocs),
-             static_cast<unsigned long long>(commits));
-    out += buf;
-  }
-  if (!recovery_line.empty()) {
-    out += "\n";
-    out += recovery_line;
-  }
-  // Per-worker scheduler dispatch counters (coroutine model): shows how
-  // much of the load each shard pulled locally vs. stole, and how often
-  // workers parked.
-  if (!sched_per_worker.empty()) {
-    out += "\nsched: " + sched.ToString();
-    for (size_t w = 0; w < sched_per_worker.size(); ++w) {
-      const SchedulerStats& s = sched_per_worker[w];
-      snprintf(buf, sizeof(buf),
-               "\n  w%zu: pulled=%llu stolen=%llu steal_fails=%llu "
-               "parks=%llu qhwm=%llu",
-               w, static_cast<unsigned long long>(s.pulled),
-               static_cast<unsigned long long>(s.stolen),
-               static_cast<unsigned long long>(s.steal_fail_probes),
-               static_cast<unsigned long long>(s.parks),
-               static_cast<unsigned long long>(s.queue_depth_hwm));
-      out += buf;
-    }
-  }
-  // Surface graceful-degradation events (I/O retries, CRC re-reads,
-  // quarantines, WAL sync failures); empty on a healthy run.
-  std::string degradation = IoStats::Global().DegradationString();
-  if (!degradation.empty()) {
-    out += "\n";
-    out += degradation;
-  }
-  return out;
+  return buf;
 }
 
 DriverResult RunTpcc(Workload* w, const DriverConfig& config) {
@@ -300,8 +259,9 @@ DriverResult RunTpcc(Workload* w, const DriverConfig& config) {
 
     if constexpr (std::is_same_v<std::decay_t<decltype(executor)>,
                                  Scheduler>) {
-      result.sched_per_worker = executor.PerWorkerStats();
-      result.sched = executor.TotalStats();
+      result.metrics = db->Metrics(&executor);
+    } else {
+      result.metrics = db->Metrics();
     }
 
     result.seconds = end.at - start.at;
@@ -314,13 +274,13 @@ DriverResult RunTpcc(Workload* w, const DriverConfig& config) {
         static_cast<double>(end.wal_bytes - start.wal_bytes) /
         result.seconds / 1e6;
     if (config.track_allocs && result.commits > 0) {
-      result.heap_allocs = end.heap_allocs - start.heap_allocs;
-      result.heap_bytes = end.heap_bytes - start.heap_bytes;
-      result.arena_bytes = end.arena_bytes - start.arena_bytes;
       double n = static_cast<double>(result.commits);
-      result.heap_allocs_per_txn = static_cast<double>(result.heap_allocs) / n;
-      result.heap_bytes_per_txn = static_cast<double>(result.heap_bytes) / n;
-      result.arena_bytes_per_txn = static_cast<double>(result.arena_bytes) / n;
+      result.heap_allocs_per_txn =
+          static_cast<double>(end.heap_allocs - start.heap_allocs) / n;
+      result.heap_bytes_per_txn =
+          static_cast<double>(end.heap_bytes - start.heap_bytes) / n;
+      result.arena_bytes_per_txn =
+          static_cast<double>(end.arena_bytes - start.arena_bytes) / n;
     }
   };
 
@@ -344,13 +304,27 @@ DriverResult RunTpcc(Workload* w, const DriverConfig& config) {
   result.user_aborts = w->user_aborts.load(std::memory_order_relaxed);
   result.sys_aborts = w->sys_aborts.load(std::memory_order_relaxed);
   result.retries = w->retries.load(std::memory_order_relaxed);
-  result.recovery_line = db->recovery_info().ToLine();
   uint64_t total = w->total_commits();
   if (total > 0) {
     result.avg_commit_wait_us =
         static_cast<double>(
             w->commit_wait_ns.load(std::memory_order_relaxed)) /
         1e3 / static_cast<double>(total);
+  }
+  const std::pair<const char*, double> measured[] = {
+      {"tpmc", result.tpmc},
+      {"tpm", result.tpm},
+      {"commits", static_cast<double>(result.commits)},
+      {"new_order", static_cast<double>(result.new_order_commits)},
+      {"user_aborts", static_cast<double>(result.user_aborts)},
+      {"sys_aborts", static_cast<double>(result.sys_aborts)},
+      {"retries", static_cast<double>(result.retries)},
+      {"allocs_per_txn", result.heap_allocs_per_txn},
+      {"heap_bytes_per_txn", result.heap_bytes_per_txn},
+      {"arena_bytes_per_txn", result.arena_bytes_per_txn},
+  };
+  for (const auto& [name, value] : measured) {
+    result.metrics.push_back({std::string("tpcc.") + name, value});
   }
   return result;
 }

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "common/metrics.h"
 #include "tpcc/tpcc_txns.h"
 
 namespace phoebe {
@@ -35,7 +36,7 @@ struct DriverConfig {
   /// retried. 0 disables retries.
   uint32_t max_retries = 5;
   /// Count heap/arena allocations during the measured window (Profiler
-  /// alloc tracking; the "#ALLOC" summary line). Adds one counted atomic
+  /// alloc tracking; the tpcc.*_per_txn metrics). Adds one counted atomic
   /// increment per allocation while enabled.
   bool track_allocs = true;
 };
@@ -64,24 +65,19 @@ struct DriverResult {
   double avg_commit_wait_us = 0;
   std::vector<SeriesPoint> series;
 
-  /// Scheduler dispatch counters (coroutine model only; empty per-worker
-  /// vector in the thread model).
-  SchedulerStats sched;
-  std::vector<SchedulerStats> sched_per_worker;
-
-  /// "#RECOVERY ..." diagnostic from the database this run started on.
-  std::string recovery_line;
-
-  /// Allocation profile of the measured window (whole process, all txn
-  /// types; zero when DriverConfig::track_allocs is off). The "#ALLOC"
-  /// summary line reports the per-committed-transaction rates.
-  uint64_t heap_allocs = 0;
-  uint64_t heap_bytes = 0;
-  uint64_t arena_bytes = 0;
+  /// Allocation profile of the measured window per committed transaction
+  /// (whole process, all txn types; zero when DriverConfig::track_allocs is
+  /// off).
   double heap_allocs_per_txn = 0;
   double heap_bytes_per_txn = 0;
   double arena_bytes_per_txn = 0;
 
+  /// Database::Metrics snapshot taken as the run ended (with the
+  /// scheduler's counters in the coroutine model), followed by this run's
+  /// measured-window numbers as tpcc.*.
+  MetricList metrics;
+
+  /// One-line human-readable result.
   std::string Summary() const;
 };
 

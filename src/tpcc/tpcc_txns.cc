@@ -191,7 +191,8 @@ StockLevelParams MakeStockLevelParams(TpccRandom* rnd, int32_t w_id) {
 // the single hoisted key vector plus the hoisted order-line RowBuilder are
 // reused across all probe/insert iterations. Steady state performs a handful
 // of heap allocations per transaction (coroutine frame, sets vector) instead
-// of one per row/key/delta (#ALLOC in the driver summary quantifies this).
+// of one per row/key/delta (the driver's tpcc.allocs_per_txn metric
+// quantifies this).
 // ---------------------------------------------------------------------------
 
 TxnTask NewOrderTxn(Workload* w, TaskEnv* env, NewOrderParams p) {

@@ -11,6 +11,7 @@
 
 #include "buffer/buffer_frame.h"
 #include "common/constants.h"
+#include "common/metrics.h"
 #include "common/status.h"
 #include "io/env.h"
 #include "txn/transaction.h"
@@ -198,14 +199,22 @@ class WalManager {
     size_t writer_buffer_bytes = 64 << 10;
   };
 
-  /// Pipeline counters, reported by micro_wal / exp3.
+  /// Pipeline counters, reported by micro_wal and the metrics snapshot.
+#define PHOEBE_WAL_PIPELINE_STATS(X)                                  \
+  X(appends)                                                          \
+  X(records_flushed)                                                  \
+  X(inline_flushes)   /* appender hit a full buffer */                \
+  X(oversize_appends)                                                 \
+  X(commit_kicks)     /* flusher wakeups for commits */               \
+  X(idle_waits)       /* flusher found nothing, slept */
+
   struct PipelineStats {
-    std::atomic<uint64_t> appends{0};
-    std::atomic<uint64_t> records_flushed{0};
-    std::atomic<uint64_t> inline_flushes{0};   // appender hit a full buffer
-    std::atomic<uint64_t> oversize_appends{0};
-    std::atomic<uint64_t> commit_kicks{0};     // flusher wakeups for commits
-    std::atomic<uint64_t> idle_waits{0};       // flusher found nothing, slept
+    PHOEBE_WAL_PIPELINE_STATS(PHOEBE_COUNTER_FIELD)
+
+    template <typename Fn>
+    void ForEach(Fn&& fn) const {
+      PHOEBE_WAL_PIPELINE_STATS(PHOEBE_COUNTER_VISIT)
+    }
   };
 
   static Result<std::unique_ptr<WalManager>> Open(Env* env,

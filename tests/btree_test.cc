@@ -95,7 +95,7 @@ TEST_F(BTreeTest, ScanRangeOrdered) {
   EXPECT_TRUE(std::is_sorted(seen.begin(), seen.end()));
 }
 
-TEST_F(BTreeTest, ScanEarlyStopAndDesc) {
+TEST_F(BTreeTest, ScanEarlyStop) {
   auto tree = NewIndexTree();
   for (uint64_t i = 0; i < 100; ++i) {
     ASSERT_OK(tree->IndexInsert(&ctx_, Key(i), i));
@@ -106,14 +106,6 @@ TEST_F(BTreeTest, ScanEarlyStopAndDesc) {
                               return ++count < 10;
                             }));
   EXPECT_EQ(count, 10);
-
-  std::vector<uint64_t> desc;
-  ASSERT_OK(tree->IndexScanDesc(&ctx_, Key(90), Key(95),
-                                [&desc](Slice, uint64_t v) {
-                                  desc.push_back(v);
-                                  return true;
-                                }));
-  EXPECT_EQ(desc, (std::vector<uint64_t>{94, 93, 92, 91, 90}));
 }
 
 TEST_F(BTreeTest, VariableLengthKeys) {

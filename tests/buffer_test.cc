@@ -332,7 +332,7 @@ TEST(EvictionTest, SecondChanceRescuesCoolingPages) {
   }
   // All touched pages were rescued (popped cooling entries are re-hot).
   int evicted = 0;
-  while (registry.TryEvictOneCooling(&ctx, 0)) ++evicted;
+  while (registry.EvictCoolingBatch(&ctx, 0, 1) > 0) ++evicted;
   EXPECT_GE(cooled, evicted);
 }
 

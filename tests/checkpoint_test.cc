@@ -156,7 +156,9 @@ TEST(CheckpointTest, WatermarkSkipsPreCheckpointRecords) {
         << "pre-checkpoint records were not skipped by the watermark";
     Table* t = db->GetTable("kv").value();
     VerifyRows(db.get(), t, model);
-    EXPECT_FALSE(db->recovery_info().ToLine().empty());
+    MetricList m = db->Metrics();
+    EXPECT_EQ(MetricValue(m, "recovery.used_checkpoint"), 1);
+    EXPECT_GT(MetricValue(m, "recovery.watermark_gsn"), 0);
     ASSERT_OK(db->Close());
   }
 }

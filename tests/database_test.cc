@@ -471,7 +471,7 @@ TEST_F(DatabaseTest, AuxSlotLoadReclaimsAtCommit) {
   }
   EXPECT_GE(row_bytes, 2 * kBuffer);
   EXPECT_EQ(db_->txn_manager()->TotalLiveUndo(), 0u);
-  EXPECT_GT(db_->GetStats().buffer_evictions, 0u);
+  EXPECT_GT(MetricValue(db_->Metrics(), "buffer.evictions"), 0);
 
   Transaction* reader = db_->Begin(db_->aux_slot());
   for (int64_t id : {int64_t{0}, kRows / 2, kRows - 1}) {
@@ -488,17 +488,17 @@ TEST_F(DatabaseTest, StatsSurface) {
   Transaction* txn = db_->Begin(db_->aux_slot());
   RowId rid = 0;
   ASSERT_OK(t->Insert(&ctx_, txn, MakeRow(t, 1, "alice", 1.0), &rid));
-  Database::Stats mid = db_->GetStats();
-  EXPECT_EQ(mid.active_transactions, 1u);
-  EXPECT_GT(mid.live_undo_records, 0u);
-  EXPECT_GT(mid.buffer_frames_total, mid.buffer_frames_free);
+  MetricList mid = db_->Metrics();
+  EXPECT_EQ(MetricValue(mid, "txn.active"), 1);
+  EXPECT_GT(MetricValue(mid, "txn.live_undo"), 0);
+  EXPECT_GT(MetricValue(mid, "buffer.frames_total"),
+            MetricValue(mid, "buffer.frames_free"));
   ASSERT_OK(db_->Commit(&ctx_, txn));
   db_->DrainGc();
-  Database::Stats after = db_->GetStats();
-  EXPECT_EQ(after.active_transactions, 0u);
-  EXPECT_EQ(after.live_undo_records, 0u);
-  EXPECT_GT(after.clock_now, 0u);
-  EXPECT_FALSE(db_->GetStatsString().empty());
+  MetricList after = db_->Metrics();
+  EXPECT_EQ(MetricValue(after, "txn.active"), 0);
+  EXPECT_EQ(MetricValue(after, "txn.live_undo"), 0);
+  EXPECT_GT(MetricValue(after, "txn.clock"), 0);
 }
 
 TEST_F(DatabaseTest, UmbrellaVersion) {

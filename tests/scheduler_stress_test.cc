@@ -78,10 +78,10 @@ TEST(SchedulerStressTest, SkewedSubmitSingleShard) {
   EXPECT_EQ(total.pulled + total.stolen, kTasks);
   EXPECT_GT(total.stolen, 0u) << "skewed load must trigger stealing";
   // Only shard 0 ever received submissions.
-  std::vector<SchedulerStats> per = sched.PerWorkerStats();
-  ASSERT_EQ(per.size(), 4u);
-  EXPECT_EQ(per[0].submitted, kTasks);
-  for (size_t w = 1; w < per.size(); ++w) EXPECT_EQ(per[w].submitted, 0u);
+  EXPECT_EQ(sched.WorkerStats(0).submitted, kTasks);
+  for (uint32_t w = 1; w < 4; ++w) {
+    EXPECT_EQ(sched.WorkerStats(w).submitted, 0u);
+  }
 }
 
 // One worker's slots are saturated by long yield-loop tasks while its shard
@@ -106,12 +106,13 @@ TEST(SchedulerStressTest, StealHeavyOneBusyWorker) {
   }
   WaitCompleted(sched, kQuick + opts.slots_per_worker);
   SchedulerStats total = sched.TotalStats();
-  std::vector<SchedulerStats> per = sched.PerWorkerStats();
+  uint64_t stolen_by_others = 0;
+  for (uint32_t w = 1; w < opts.workers; ++w) {
+    stolen_by_others += sched.WorkerStats(w).stolen;
+  }
   sched.Stop();
   EXPECT_EQ(done.load(), kQuick + opts.slots_per_worker);
   EXPECT_GT(total.stolen, 0u);
-  uint64_t stolen_by_others = 0;
-  for (size_t w = 1; w < per.size(); ++w) stolen_by_others += per[w].stolen;
   EXPECT_GT(stolen_by_others, 0u)
       << "idle workers must have stolen from the busy shard";
 }

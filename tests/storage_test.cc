@@ -394,6 +394,28 @@ TEST_F(FrozenStoreTest, ColumnScanHonorsTombstones) {
   EXPECT_EQ(count, 28);
 }
 
+TEST_F(FrozenStoreTest, ReadsThroughCacheEviction) {
+  // More distinct blocks than the decoded-block cache holds: the second
+  // pass re-decodes blocks the first pass evicted.
+  constexpr int kRowsPerBlock = 4;
+  const int blocks = static_cast<int>(FrozenStore::kCacheBlocks) + 16;
+  for (int b = 0; b < blocks; ++b) {
+    RowId first = static_cast<RowId>(b * kRowsPerBlock + 1);
+    Freeze(first, kRowsPerBlock, first + kRowsPerBlock - 1);
+  }
+  ASSERT_EQ(store_->num_blocks(), static_cast<size_t>(blocks));
+  std::string row;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (RowId rid = 1; rid <= static_cast<RowId>(blocks * kRowsPerBlock);
+         ++rid) {
+      ASSERT_OK(store_->ReadRow(rid, &row));
+      RowView v(&schema_, row.data());
+      EXPECT_EQ(v.GetInt64(0), static_cast<int64_t>(rid));
+      EXPECT_EQ(v.GetInt32(1), static_cast<int32_t>((rid - 1) % kRowsPerBlock));
+    }
+  }
+}
+
 TEST_F(FrozenStoreTest, RejectsFreezeBelowWatermark) {
   Freeze(1, 10, 10);
   std::vector<RowId> rids = {5};

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/arena.h"
+#include "common/metrics.h"
 #include "common/status.h"
 #include "io/env.h"
 #include "wal/record.h"
@@ -30,6 +31,16 @@ class TestDir {
  private:
   std::string path_;
 };
+
+/// Value of the snapshot entry `name`; a missing entry fails the test.
+inline double MetricValue(const MetricList& metrics,
+                          const std::string& name) {
+  for (const Metric& m : metrics) {
+    if (m.name == name) return m.value;
+  }
+  ADD_FAILURE() << "no metric " << name;
+  return -1;
+}
 
 /// A WAL data payload as an owned string, for tests that frame records by
 /// hand.
