@@ -135,7 +135,20 @@ TEST_F(TableTest, IndexScanFiltersInvisibleRows) {
   ASSERT_OK(db_->Commit(&ctx_, reader2));
 }
 
-TEST_F(TableTest, RepeatableReadFirstUpdaterWins) {
+// The contending write of the conflict tests below: Update and Delete take
+// the same row lock and the same first-updater-wins check.
+enum class RowWrite { kUpdate, kDelete };
+
+class TableConflictTest : public TableTest,
+                          public ::testing::WithParamInterface<RowWrite> {
+ protected:
+  Status Write(OpContext* ctx, Transaction* txn, RowId rid, int32_t qty) {
+    if (GetParam() == RowWrite::kDelete) return table_->Delete(ctx, txn, rid);
+    return table_->Update(ctx, txn, rid, {{2, Value::Int32(qty)}});
+  }
+};
+
+TEST_P(TableConflictTest, RepeatableReadFirstUpdaterWins) {
   Open();
   Transaction* setup = db_->Begin(db_->aux_slot(0));
   RowId rid = InsertItem(setup, 7, "contended", 100);
@@ -151,14 +164,14 @@ TEST_F(TableTest, RepeatableReadFirstUpdaterWins) {
   ASSERT_OK(table_->Update(&ctx_, other, rid, {{2, Value::Int32(1)}}));
   ASSERT_OK(db_->Commit(&ctx_, other));
 
-  // RR transaction must abort on the stale update.
-  Status st = table_->Update(&ctx_, rr, rid, {{2, Value::Int32(2)}});
+  // RR transaction must abort on the stale write.
+  Status st = Write(&ctx_, rr, rid, 2);
   EXPECT_TRUE(st.IsAborted()) << st.ToString();
   ASSERT_OK(db_->Abort(&ctx_, rr));
 
   // Read-committed retries against the newest version instead.
   Transaction* rc = db_->Begin(db_->aux_slot(0));
-  ASSERT_OK(table_->Update(&ctx_, rc, rid, {{2, Value::Int32(3)}}));
+  ASSERT_OK(Write(&ctx_, rc, rid, 3));
   ASSERT_OK(db_->Commit(&ctx_, rc));
 }
 
@@ -388,7 +401,7 @@ TEST_F(TableTest, GcPurgesDeletedTuplesAndIndexEntries) {
   ASSERT_OK(db_->Commit(&ctx_, again));
 }
 
-TEST_F(TableTest, DeadlockTimeoutAbortsOneParty) {
+TEST_P(TableConflictTest, DeadlockTimeoutAbortsOneParty) {
   DatabaseOptions opts;
   opts.deadlock_timeout_ms = 100;
   Open(opts);
@@ -405,9 +418,7 @@ TEST_F(TableTest, DeadlockTimeoutAbortsOneParty) {
     Transaction* txn = db_->Begin(db_->aux_slot(slot));
     Status st = table_->Update(&ctx, txn, first, {{2, Value::Int32(1)}});
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    if (st.ok()) {
-      st = table_->Update(&ctx, txn, second, {{2, Value::Int32(2)}});
-    }
+    if (st.ok()) st = Write(&ctx, txn, second, 2);
     if (st.ok()) {
       EXPECT_OK(db_->Commit(&ctx, txn));
     } else {
@@ -422,6 +433,48 @@ TEST_F(TableTest, DeadlockTimeoutAbortsOneParty) {
   t2.join();
   EXPECT_GE(aborted.load(), 1);
   EXPECT_LE(aborted.load(), 2);
+}
+
+INSTANTIATE_TEST_SUITE_P(ContendingWrite, TableConflictTest,
+                         ::testing::Values(RowWrite::kUpdate,
+                                           RowWrite::kDelete),
+                         [](const auto& info) {
+                           return info.param == RowWrite::kUpdate
+                                      ? std::string("Update")
+                                      : std::string("Delete");
+                         });
+
+// Baseline global lock table: a Delete waits on the row lock an
+// uncommitted Update holds, and proceeds once that Update commits.
+TEST_F(TableTest, BaselineLockTableDeleteWaitsForUpdate) {
+  DatabaseOptions opts;
+  opts.baseline_global_lock_table = true;
+  Open(opts);
+  Transaction* setup = db_->Begin(db_->aux_slot(0));
+  RowId rid = InsertItem(setup, 3, "locked", 5);
+  ASSERT_OK(db_->Commit(&ctx_, setup));
+
+  Transaction* holder = db_->Begin(db_->aux_slot(0));
+  ASSERT_OK(table_->Update(&ctx_, holder, rid, {{2, Value::Int32(6)}}));
+
+  // Coroutine mode: the Delete reports the wait instead of sleeping in it.
+  OpContext co;
+  co.synchronous = false;
+  Transaction* deleter = db_->Begin(db_->aux_slot(1));
+  Status st = table_->Delete(&co, deleter, rid);
+  ASSERT_TRUE(st.IsBlocked()) << st.ToString();
+  EXPECT_EQ(st.wait_xid(), holder->xid());
+  st = table_->Delete(&co, deleter, rid);  // still held: still waiting
+  ASSERT_TRUE(st.IsBlocked()) << st.ToString();
+
+  ASSERT_OK(db_->Commit(&ctx_, holder));
+  ASSERT_OK(table_->Delete(&co, deleter, rid));
+  ASSERT_OK(db_->Commit(&ctx_, deleter));
+
+  Transaction* reader = db_->Begin(db_->aux_slot(0));
+  Slice row;
+  EXPECT_TRUE(table_->GetRef(&ctx_, reader, rid, &row).IsNotFound());
+  ASSERT_OK(db_->Commit(&ctx_, reader));
 }
 
 TEST_F(TableTest, FreezeThenReadAndScan) {

@@ -120,8 +120,10 @@ TEST_F(TxnScenarioTest, InsertDeleteSameTxnThenCommit) {
 
 // --- Coroutine blocked/retry protocol, driven by hand ------------------------
 
-TxnTask BlockedUpdateTask(Database* db, Table* table, RowId rid,
-                          uint32_t slot, int64_t value, int* wait_count) {
+/// Writes `value` to `rid` (or deletes it, with `del`) in coroutine mode,
+/// yielding on every kBlocked, then commits.
+TxnTask BlockedWriteTask(Database* db, Table* table, RowId rid, uint32_t slot,
+                         int64_t value, bool del, int* wait_count) {
   TaskEnv env;  // local env: we drive this task manually
   env.global_slot_id = slot;
   env.ctx.synchronous = false;  // coroutine mode: ops return kBlocked
@@ -129,7 +131,8 @@ TxnTask BlockedUpdateTask(Database* db, Table* table, RowId rid,
   db->StatementBegin(txn);
   Status st;
   for (;;) {
-    st = table->Update(&env.ctx, txn, rid, {{1, Value::Int64(value)}});
+    st = del ? table->Delete(&env.ctx, txn, rid)
+             : table->Update(&env.ctx, txn, rid, {{1, Value::Int64(value)}});
     if (!st.IsBlocked()) break;
     ++*wait_count;
     co_await YieldWait(st);
@@ -146,7 +149,13 @@ TxnTask BlockedUpdateTask(Database* db, Table* table, RowId rid,
   co_return st;
 }
 
-TEST_F(TxnScenarioTest, CoroutineWaitsOnXidLockThenSucceeds) {
+// The waiting write is an Update or a Delete; both park on the holder's
+// XID lock the same way.
+class TxnWaitScenarioTest : public TxnScenarioTest,
+                            public ::testing::WithParamInterface<bool> {};
+
+TEST_P(TxnWaitScenarioTest, CoroutineWaitsOnXidLockThenSucceeds) {
+  const bool del = GetParam();
   Transaction* setup = db_->Begin(db_->aux_slot(0));
   RowId rid = Insert(setup, 5, 1);
   ASSERT_OK(db_->Commit(&ctx_, setup));
@@ -156,8 +165,8 @@ TEST_F(TxnScenarioTest, CoroutineWaitsOnXidLockThenSucceeds) {
   ASSERT_OK(table_->Update(&ctx_, holder, rid, {{1, Value::Int64(2)}}));
 
   int waits = 0;
-  TxnTask task =
-      BlockedUpdateTask(db_.get(), table_, rid, db_->aux_slot(1), 3, &waits);
+  TxnTask task = BlockedWriteTask(db_.get(), table_, rid, db_->aux_slot(1), 3,
+                                  del, &waits);
   // Drive the coroutine: it must park on the holder's XID lock.
   task.Resume();
   ASSERT_FALSE(task.done());
@@ -178,9 +187,21 @@ TEST_F(TxnScenarioTest, CoroutineWaitsOnXidLockThenSucceeds) {
   ASSERT_OK(st);
 
   Transaction* reader = db_->Begin(db_->aux_slot(0));
-  EXPECT_EQ(Read(reader, rid), 3);
+  if (del) {
+    Slice row;
+    EXPECT_TRUE(table_->GetRef(&ctx_, reader, rid, &row).IsNotFound());
+  } else {
+    EXPECT_EQ(Read(reader, rid), 3);
+  }
   ASSERT_OK(db_->Commit(&ctx_, reader));
 }
+
+INSTANTIATE_TEST_SUITE_P(ContendingWrite, TxnWaitScenarioTest,
+                         ::testing::Values(false, true),
+                         [](const auto& info) {
+                           return info.param ? std::string("Delete")
+                                             : std::string("Update");
+                         });
 
 TEST_F(TxnScenarioTest, CoroutineCommitYieldsOnFlush) {
   // With a slow flush interval the commit must yield kCommitFlush at least
@@ -190,8 +211,8 @@ TEST_F(TxnScenarioTest, CoroutineCommitYieldsOnFlush) {
   ASSERT_OK(db_->Commit(&ctx_, setup));
 
   int waits = 0;
-  TxnTask task =
-      BlockedUpdateTask(db_.get(), table_, rid, db_->aux_slot(1), 9, &waits);
+  TxnTask task = BlockedWriteTask(db_.get(), table_, rid, db_->aux_slot(1), 9,
+                                  /*del=*/false, &waits);
   Status st = task.RunToCompletion();  // spin-resume until durable
   ASSERT_OK(st);
   Transaction* reader = db_->Begin(db_->aux_slot(0));
