@@ -49,7 +49,8 @@ void BM_VisibilityNoTwin(benchmark::State& state) {
   for (auto _ : state) {
     VisibleVersion vv;
     benchmark::DoNotOptimize(RetrieveVisibleVersion(
-        s, MakeXid(5), 10, base, false, nullptr, 1, 1, &scratch, &vv));
+        s, MakeXid(5), 10, base, false, nullptr, 1, 1, &scratch,
+        /*txns=*/nullptr, &vv));
   }
 }
 BENCHMARK(BM_VisibilityNoTwin);
@@ -67,7 +68,8 @@ void BM_VisibilityHeaderHit(benchmark::State& state) {
   for (auto _ : state) {
     VisibleVersion vv;
     benchmark::DoNotOptimize(RetrieveVisibleVersion(
-        s, MakeXid(9), 10, base, false, &twin.entry(1), 1, 1, &scratch, &vv));
+        s, MakeXid(9), 10, base, false, &twin.entry(1), 1, 1, &scratch,
+        /*txns=*/nullptr, &vv));
     scratch.Reset();
   }
 }
@@ -97,7 +99,8 @@ void BM_VisibilityChainWalk(benchmark::State& state) {
   for (auto _ : state) {
     VisibleVersion vv;
     benchmark::DoNotOptimize(RetrieveVisibleVersion(
-        s, MakeXid(1), 1, base, false, &twin.entry(1), 1, 1, &scratch, &vv));
+        s, MakeXid(1), 1, base, false, &twin.entry(1), 1, 1, &scratch,
+        /*txns=*/nullptr, &vv));
     scratch.Reset();
   }
 }
@@ -129,7 +132,8 @@ void BM_VisibilityChainWalkAllocs(benchmark::State& state) {
   for (auto _ : state) {
     VisibleVersion vv;
     benchmark::DoNotOptimize(RetrieveVisibleVersion(
-        s, MakeXid(1), 1, base, false, &twin.entry(1), 1, 1, &scratch, &vv));
+        s, MakeXid(1), 1, base, false, &twin.entry(1), 1, 1, &scratch,
+        /*txns=*/nullptr, &vv));
     scratch.Reset();
     ++iters;
   }

@@ -2,13 +2,14 @@
 # Builds the Address+UBSanitizer preset and runs the I/O, fault-injection,
 # and crash-recovery suites under it: these exercise error paths (injected
 # I/O failures, torn WAL tails, quarantined pages, fail-stop teardown) where
-# use-after-free and leaks like to hide. Usage:
+# use-after-free and leaks like to hide. The table and MVCC suites cover the
+# row-write protocol's rollback, wait and version-chain paths. Usage:
 #   scripts/run_asan.sh [extra ctest args...]
 set -eu
 
 cd "$(dirname "$0")/.."
 
-TESTS=(io_test wal_test wal_pipeline_stress_test fault_env_test recovery_property_test checkpoint_test crash_torture_test scheduler_stress_test codec_fuzz_test node_test btree_test btree_model_test storage_test buffer_test aux_reclaim_stress_test)
+TESTS=(io_test wal_test wal_pipeline_stress_test fault_env_test recovery_property_test checkpoint_test crash_torture_test scheduler_stress_test codec_fuzz_test node_test btree_test btree_model_test storage_test buffer_test aux_reclaim_stress_test table_test txn_scenarios_test mvcc_stress_test)
 
 cmake --preset asan
 cmake --build --preset asan -j "$(nproc)" --target "${TESTS[@]}"

@@ -431,13 +431,7 @@ Status Database::Commit(OpContext* ctx, Transaction* txn) {
       return wal_->fail_stop_status();
     }
   }
-  txn_mgr_->FinishTransaction(txn, /*committed=*/true);
-  if (options_.baseline_global_lock_table) {
-    auto& held = held_locks_[txn->slot_id()];
-    lock_table_->ReleaseAll(txn->xid(), held);
-    held.clear();
-  }
-  ReclaimAuxSlot(txn->slot_id(), /*rolled_back=*/0);
+  FinishTxn(txn, /*committed=*/true, /*rolled_back=*/0);
   return Status::OK();
 }
 
@@ -464,17 +458,19 @@ Status Database::Abort(OpContext* ctx, Transaction* txn) {
   }
   // No abort record: recovery drops the records of a transaction that has
   // no commit record.
-  txn_mgr_->FinishTransaction(txn, /*committed=*/false);
-  if (options_.baseline_global_lock_table) {
-    auto& held = held_locks_[txn->slot_id()];
-    lock_table_->ReleaseAll(txn->xid(), held);
-    held.clear();
-  }
-  ReclaimAuxSlot(txn->slot_id(), rolled_back);
+  FinishTxn(txn, /*committed=*/false, rolled_back);
   return result;
 }
 
-void Database::ReclaimAuxSlot(uint32_t slot_id, size_t rolled_back) {
+void Database::FinishTxn(Transaction* txn, bool committed,
+                         size_t rolled_back) {
+  const uint32_t slot_id = txn->slot_id();
+  txn_mgr_->FinishTransaction(txn, committed);
+  if (options_.baseline_global_lock_table) {
+    auto& held = held_locks_[slot_id];
+    lock_table_->ReleaseAll(txn->xid(), held);
+    held.clear();
+  }
   if (slot_id < aux_slot(0)) return;  // its scheduler worker collects it
   if (!EnterHook()) return;  // checkpoint walk: the next commit catches up
   size_t freed = rolled_back + txn_mgr_->RunUndoGc(slot_id);

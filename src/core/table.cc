@@ -286,6 +286,130 @@ Status Table::IndexRemoveEntry(OpContext* ctx, IndexDef& idx, Slice user_key,
   return st;
 }
 
+Status Table::WalkIndexKeys(OpContext* ctx, RowView row, RowId rid, bool add,
+                            Arena* arena) {
+  Status first;
+  for (auto& idx : indexes_) {
+    Result<Slice> key = EncodeKeyFromRowTo(schema_, idx->key_columns, row,
+                                           arena);
+    Status st = key.status();
+    if (st.ok()) {
+      st = add ? IndexInsertEntry(ctx, *idx, key.value(), rid)
+               : IndexRemoveEntry(ctx, *idx, key.value(), rid);
+    }
+    if (st.ok()) continue;
+    if (add) return st;
+    if (first.ok()) first = st;
+  }
+  return first;
+}
+
+Status Table::WalkChangedKeys(RowView from, RowView to, const uint32_t* cols,
+                              size_t ncols, Arena* arena,
+                              FunctionRef<Status(IndexDef&, Slice, Slice)> fn) {
+  for (auto& idx : indexes_) {
+    if (!KeyTouched(*idx, cols, ncols)) continue;
+    Result<Slice> from_key =
+        EncodeKeyFromRowTo(schema_, idx->key_columns, from, arena);
+    if (!from_key.ok()) return from_key.status();
+    Result<Slice> to_key =
+        EncodeKeyFromRowTo(schema_, idx->key_columns, to, arena);
+    if (!to_key.ok()) return to_key.status();
+    if (from_key.value() == to_key.value()) continue;
+    PHOEBE_RETURN_IF_ERROR(fn(*idx, from_key.value(), to_key.value()));
+  }
+  return Status::OK();
+}
+
+// ---------------------------------------------------------------------------
+// The row-write protocol
+// ---------------------------------------------------------------------------
+
+Status Table::LockRowBaseline(OpContext* ctx, Transaction* txn, RowId rid) {
+  if (!deps_->options->baseline_global_lock_table) return Status::OK();
+  uint64_t lock_key = GlobalLockTable::Key(id_, rid);
+  for (;;) {
+    Status st = deps_->lock_table->AcquireExclusive(lock_key, txn->xid(),
+                                                    /*blocking=*/false);
+    if (st.ok()) {
+      (*deps_->held_locks)[txn->slot_id()].push_back(lock_key);
+      txn->waiting_on = 0;
+      return Status::OK();
+    }
+    Status wait = HandleWriteBlock(ctx, txn, st);
+    if (!wait.ok()) return wait;  // kBlocked (yield) or kAborted (timeout)
+  }
+}
+
+TwinTable::Entry* Table::AttachTwin(BufferFrame* frame, uint16_t capacity,
+                                    uint16_t slot) {
+  bool created = TwinTable::Of(frame) == nullptr;
+  TwinTable* twin = TwinTable::GetOrCreate(frame, capacity);
+  if (created) deps_->txn_mgr->RegisterTwin(id_, frame);
+  return &twin->entry(slot);
+}
+
+Status Table::LatchRowForWrite(OpContext* ctx, Transaction* txn, RowId rid,
+                               RowLatch* out) {
+  for (;;) {
+    PHOEBE_RETURN_IF_ERROR(tree_->FixLeaf(ctx, BTree::TableKey(rid),
+                                          LatchMode::kExclusive, &out->guard));
+    TableLeaf leaf(out->guard.page(), &schema_, &layout_);
+    if (!leaf.InRange(rid) || !leaf.IsLive(out->slot = leaf.SlotOf(rid))) {
+      out->guard.Release();
+      return Status::NotFound();
+    }
+    out->entry = AttachTwin(out->guard.frame(), leaf.capacity(), out->slot);
+
+    ComponentScope prof(Component::kLocking);
+    Status conflict = CheckWriteConflict(txn->xid(), txn->snapshot(),
+                                         txn->isolation(), out->entry, id_,
+                                         rid);
+    if (conflict.IsBlocked()) {
+      out->guard.Release();
+      Status wait = HandleWriteBlock(ctx, txn, conflict);
+      if (wait.ok()) continue;  // synchronous retry
+      return wait;              // kBlocked (yield) or kAborted (deadlock)
+    }
+    if (!conflict.ok()) return conflict;
+    txn->waiting_on = 0;
+    return Status::OK();
+  }
+}
+
+void Table::LinkVersion(Transaction* txn, TwinTable::Entry* entry,
+                        UndoKind kind, RowId rid, Slice delta) {
+  UndoRecord* prev = entry->head.load(std::memory_order_acquire);
+  uint64_t sts = 0;
+  if (kind != UndoKind::kInsert && prev != nullptr && prev->IsLive(nullptr) &&
+      prev->rid == rid) {
+    sts = prev->ets.load(std::memory_order_acquire);
+  }
+  UndoRecord* undo = deps_->txn_mgr->slot(txn->slot_id())
+                         .arena.Alloc(kind, id_, rid, delta);
+  undo->sts.store(sts, std::memory_order_relaxed);
+  undo->ets.store(txn->xid(), std::memory_order_relaxed);
+  undo->next.store(prev, std::memory_order_relaxed);
+  txn->PushUndo(undo);
+  entry->head.store(undo, std::memory_order_release);
+}
+
+void Table::LogRowChange(Transaction* txn, BufferFrame* frame,
+                         WalRecordType type, RowId rid, Slice payload,
+                         Arena* arena) {
+  uint64_t gsn;
+  if (frame != nullptr) {
+    frame->dirty.store(true, std::memory_order_release);
+    gsn = deps_->wal->OnPageWrite(txn, frame);
+  } else {
+    WalWriter& w = deps_->wal->WriterFor(txn->slot_id());
+    gsn = w.LoadGsn() + 1;
+    w.RaiseGsn(gsn);
+  }
+  deps_->wal->LogData(txn, type, gsn,
+                      WalRecordCodec::DataPayloadTo(id_, rid, payload, arena));
+}
+
 // ---------------------------------------------------------------------------
 // Insert
 // ---------------------------------------------------------------------------
@@ -303,15 +427,11 @@ Status Table::InsertBase(OpContext* ctx, Transaction* txn, RowId rid,
       continue;
     }
     uint16_t slot = leaf.SlotOf(rid);
-    BufferFrame* frame = g.frame();
-    bool created = TwinTable::Of(frame) == nullptr;
-    TwinTable* twin = TwinTable::GetOrCreate(frame, leaf.capacity());
-    if (created) deps_->txn_mgr->RegisterTwin(id_, frame);
-    auto& entry = twin->entry(slot);
+    TwinTable::Entry* entry = AttachTwin(g.frame(), leaf.capacity(), slot);
 
     if (leaf.IsLive(slot)) {
       // Resume idempotence: already applied by this transaction?
-      UndoRecord* h = entry.head.load(std::memory_order_acquire);
+      UndoRecord* h = entry->head.load(std::memory_order_acquire);
       if (h != nullptr && h->IsLive(nullptr) && h->rid == rid &&
           h->kind == UndoKind::kInsert &&
           h->ets.load(std::memory_order_acquire) == txn->xid()) {
@@ -321,25 +441,11 @@ Status Table::InsertBase(OpContext* ctx, Transaction* txn, RowId rid,
     }
 
     ComponentScope prof(Component::kMvcc);
-    UndoRecord* prev = entry.head.load(std::memory_order_acquire);
-    UndoRecord* undo = deps_->txn_mgr->slot(txn->slot_id())
-                           .arena.Alloc(UndoKind::kInsert, id_, rid, Slice());
-    undo->sts.store(0, std::memory_order_relaxed);
-    undo->ets.store(txn->xid(), std::memory_order_relaxed);
-    undo->next.store(prev, std::memory_order_relaxed);
-    txn->PushUndo(undo);
-    twin->NoteWriter(txn->xid());
-    entry.locker.store(txn->xid(), std::memory_order_relaxed);
-    entry.head.store(undo, std::memory_order_release);
-
+    LinkVersion(txn, entry, UndoKind::kInsert, rid, Slice());
     PHOEBE_RETURN_IF_ERROR(
         leaf.InsertRow(slot, RowView(&schema_, row.data())));
-    frame->dirty.store(true, std::memory_order_release);
-    uint64_t gsn = deps_->wal->OnPageWrite(txn, frame);
-    deps_->wal->LogData(
-        txn, WalRecordType::kInsert, gsn,
-        WalRecordCodec::DataPayloadTo(id_, rid, row, ScratchOf(ctx, txn)));
-    entry.locker.store(0, std::memory_order_relaxed);
+    LogRowChange(txn, g.frame(), WalRecordType::kInsert, rid, row,
+                 ScratchOf(ctx, txn));
     return Status::OK();
   }
 }
@@ -355,14 +461,9 @@ Status Table::Insert(OpContext* ctx, Transaction* txn, Slice row,
   // Index maintenance: synchronous sub-context (no yields after the apply).
   OpContext sync;
   sync.InitSyncViewOf(*ctx);
-  RowView view(&schema_, row.data());
-  Arena* arena = ScratchOf(ctx, txn);
-  for (auto& idx : indexes_) {
-    Result<Slice> key =
-        EncodeKeyFromRowTo(schema_, idx->key_columns, view, arena);
-    if (!key.ok()) return key.status();
-    PHOEBE_RETURN_IF_ERROR(IndexInsertEntry(&sync, *idx, key.value(), rid));
-  }
+  PHOEBE_RETURN_IF_ERROR(WalkIndexKeys(&sync, RowView(&schema_, row.data()),
+                                       rid, /*add=*/true,
+                                       ScratchOf(ctx, txn)));
   txn->rows_written += 1;
   return Status::OK();
 }
@@ -406,7 +507,7 @@ Status Table::GetRef(OpContext* ctx, Transaction* txn, RowId rid,
   VisibleVersion vv;
   PHOEBE_RETURN_IF_ERROR(RetrieveVisibleVersion(
       schema_, txn->xid(), txn->snapshot(), base.value(), base_deleted, entry,
-      id_, rid, arena, &vv));
+      id_, rid, arena, deps_->txn_mgr, &vv));
   g.Release();
   if (!vv.exists) return Status::NotFound();
   *row = vv.row;
@@ -430,148 +531,72 @@ Status Table::Update(OpContext* ctx, Transaction* txn, RowId rid,
 
 Status Table::UpdateApply(OpContext* ctx, Transaction* txn, RowId rid,
                           UpdateFn compute) {
-
-  // Baseline global lock table: acquire before touching the page, with
-  // the same deadlock-timeout policy as Phoebe-mode XID waits.
-  if (deps_->options->baseline_global_lock_table) {
-    uint64_t lock_key = GlobalLockTable::Key(id_, rid);
-    for (;;) {
-      Status st = deps_->lock_table->AcquireExclusive(lock_key, txn->xid(),
-                                                      /*blocking=*/false);
-      if (st.ok()) {
-        (*deps_->held_locks)[txn->slot_id()].push_back(lock_key);
-        txn->waiting_on = 0;
-        break;
-      }
-      Status wait = HandleWriteBlock(ctx, txn, st);
-      if (wait.ok()) continue;  // synchronous retry
-      return wait;              // kBlocked (yield) or kAborted (timeout)
-    }
-  }
-
-  for (;;) {
-    LeafGuard g;
-    PHOEBE_RETURN_IF_ERROR(
-        tree_->FixLeaf(ctx, BTree::TableKey(rid), LatchMode::kExclusive, &g));
-    TableLeaf leaf(g.page(), &schema_, &layout_);
-    uint16_t slot;
-    if (!leaf.InRange(rid) || !leaf.IsLive(slot = leaf.SlotOf(rid))) {
-      g.Release();
-      if (frozen_ != nullptr && rid <= frozen_->max_frozen_row_id() &&
-          !frozen_->IsDeleted(rid)) {
-        // Frozen update: warm the row into hot storage, then update the
-        // fresh copy (Section 5.2 case 3). Runs synchronously.
-        OpContext sync;
-        sync.InitSyncViewOf(*ctx);
-        RowId new_rid = 0;
-        Status st = WarmRow(&sync, txn, rid, &new_rid);
-        if (st.IsNotFound()) return st;
-        PHOEBE_RETURN_IF_ERROR(st);
-        return UpdateApply(&sync, txn, new_rid, compute);
-      }
-      return Status::NotFound();
-    }
-    BufferFrame* frame = g.frame();
-    bool created = TwinTable::Of(frame) == nullptr;
-    TwinTable* twin = TwinTable::GetOrCreate(frame, leaf.capacity());
-    if (created) deps_->txn_mgr->RegisterTwin(id_, frame);
-    auto& entry = twin->entry(slot);
-
-    {
-      ComponentScope prof(Component::kLocking);
-      Status conflict = CheckWriteConflict(txn->xid(), txn->snapshot(),
-                                           txn->isolation(), &entry, id_, rid);
-      if (conflict.IsBlocked()) {
-        g.Release();
-        Status wait = HandleWriteBlock(ctx, txn, conflict);
-        if (wait.ok()) continue;  // synchronous retry
-        return wait;              // kBlocked (yield) or kAborted (deadlock)
-      }
-      if (!conflict.ok()) return conflict;
-      txn->waiting_on = 0;
-    }
-    if (leaf.IsDeleted(slot)) {
-      // Deleted by a committed transaction: nothing to update.
-      return Status::NotFound();
-    }
-
-    ComponentScope prof(Component::kMvcc);
-    // Allocation-free hot section: the old row, patched row, deltas, and
-    // WAL payload all live in the transaction arena (DESIGN.md 4g). The
-    // old row is materialized off the page so index maintenance can read
-    // it after the latch drops.
-    Arena* arena = ScratchOf(ctx, txn);
-    Result<Slice> old_row = leaf.ReadRowTo(slot, arena);
-    if (!old_row.ok()) return old_row.status();
-    RowView old_view(&schema_, old_row.value().data());
-
-    // Evaluate the update against the current committed row (atomic RMW).
-    std::vector<std::pair<uint32_t, Value>> sets;
-    {
-      Status st = compute(old_view, &sets);
-      if (!st.ok()) return st;
-    }
-
-    // Patch the encoded row directly instead of re-building every column
-    // through RowBuilder.
-    Result<Slice> new_row =
-        PatchRowTo(schema_, old_view, sets.data(), sets.size(), arena);
-    if (!new_row.ok()) return new_row.status();
-    RowView new_view(&schema_, new_row.value().data());
-
-    const size_t ncols = sets.size();
-    uint32_t* cols = reinterpret_cast<uint32_t*>(
-        arena->Allocate(ncols * sizeof(uint32_t)));
-    for (size_t i = 0; i < ncols; ++i) cols[i] = sets[i].first;
-
-    // UNDO: before-image delta of the touched columns (Section 6.2).
-    Slice before_delta =
-        DeltaCodec::MakeDelta(schema_, old_view, cols, ncols, arena);
-    UndoRecord* prev = entry.head.load(std::memory_order_acquire);
-    uint64_t prev_ets = 0;
-    if (prev != nullptr && prev->IsLive(nullptr) && prev->rid == rid) {
-      prev_ets = prev->ets.load(std::memory_order_acquire);
-    }
-    UndoRecord* undo =
-        deps_->txn_mgr->slot(txn->slot_id())
-            .arena.Alloc(UndoKind::kUpdate, id_, rid, before_delta);
-    undo->sts.store(prev_ets, std::memory_order_relaxed);
-    undo->ets.store(txn->xid(), std::memory_order_relaxed);
-    undo->next.store(prev, std::memory_order_relaxed);
-    txn->PushUndo(undo);
-    twin->NoteWriter(txn->xid());
-    entry.locker.store(txn->xid(), std::memory_order_relaxed);
-    entry.head.store(undo, std::memory_order_release);
-
-    PHOEBE_RETURN_IF_ERROR(leaf.UpdateRow(slot, new_view));
-    frame->dirty.store(true, std::memory_order_release);
-    uint64_t gsn = deps_->wal->OnPageWrite(txn, frame);
-    Slice after_delta =
-        DeltaCodec::MakeDelta(schema_, new_view, cols, ncols, arena);
-    deps_->wal->LogData(
-        txn, WalRecordType::kUpdate, gsn,
-        WalRecordCodec::DataPayloadTo(id_, rid, after_delta, arena));
-    entry.locker.store(0, std::memory_order_relaxed);
-    g.Release();
-
-    // Key-changing updates: swap the affected index entries (synchronous).
+  PHOEBE_RETURN_IF_ERROR(LockRowBaseline(ctx, txn, rid));
+  RowLatch w;
+  Status st = LatchRowForWrite(ctx, txn, rid, &w);
+  if (st.IsNotFound() && frozen_ != nullptr &&
+      rid <= frozen_->max_frozen_row_id() && !frozen_->IsDeleted(rid)) {
+    // Frozen update: warm the row into hot storage, then update the fresh
+    // copy (Section 5.2 case 3). Runs synchronously.
     OpContext sync;
     sync.InitSyncViewOf(*ctx);
-    for (auto& idx : indexes_) {
-      if (!KeyTouched(*idx, cols, ncols)) continue;
-      Result<Slice> old_key =
-          EncodeKeyFromRowTo(schema_, idx->key_columns, old_view, arena);
-      if (!old_key.ok()) return old_key.status();
-      Result<Slice> new_key =
-          EncodeKeyFromRowTo(schema_, idx->key_columns, new_view, arena);
-      if (!new_key.ok()) return new_key.status();
-      if (old_key.value() == new_key.value()) continue;
-      PHOEBE_RETURN_IF_ERROR(
-          IndexInsertEntry(&sync, *idx, new_key.value(), rid));
-    }
-    txn->rows_written += 1;
-    return Status::OK();
+    RowId new_rid = 0;
+    PHOEBE_RETURN_IF_ERROR(WarmRow(&sync, txn, rid, &new_rid));
+    return UpdateApply(&sync, txn, new_rid, compute);
   }
+  PHOEBE_RETURN_IF_ERROR(st);
+  TableLeaf leaf(w.guard.page(), &schema_, &layout_);
+  if (leaf.IsDeleted(w.slot)) {
+    // Deleted by a committed transaction: nothing to update.
+    return Status::NotFound();
+  }
+
+  ComponentScope prof(Component::kMvcc);
+  // Allocation-free hot section: the old row, patched row, deltas, and WAL
+  // payload all live in the transaction arena (DESIGN.md 4g). The old row
+  // is materialized off the page so index maintenance can read it after
+  // the latch drops.
+  Arena* arena = ScratchOf(ctx, txn);
+  Result<Slice> old_row = leaf.ReadRowTo(w.slot, arena);
+  if (!old_row.ok()) return old_row.status();
+  RowView old_view(&schema_, old_row.value().data());
+
+  // Evaluate the update against the current committed row (atomic RMW).
+  std::vector<std::pair<uint32_t, Value>> sets;
+  PHOEBE_RETURN_IF_ERROR(compute(old_view, &sets));
+
+  // Patch the encoded row directly instead of re-building every column
+  // through RowBuilder.
+  Result<Slice> new_row =
+      PatchRowTo(schema_, old_view, sets.data(), sets.size(), arena);
+  if (!new_row.ok()) return new_row.status();
+  RowView new_view(&schema_, new_row.value().data());
+
+  const size_t ncols = sets.size();
+  uint32_t* cols = reinterpret_cast<uint32_t*>(
+      arena->Allocate(ncols * sizeof(uint32_t)));
+  for (size_t i = 0; i < ncols; ++i) cols[i] = sets[i].first;
+
+  // UNDO: before-image delta of the touched columns (Section 6.2).
+  LinkVersion(txn, w.entry, UndoKind::kUpdate, rid,
+              DeltaCodec::MakeDelta(schema_, old_view, cols, ncols, arena));
+  PHOEBE_RETURN_IF_ERROR(leaf.UpdateRow(w.slot, new_view));
+  LogRowChange(txn, w.guard.frame(), WalRecordType::kUpdate, rid,
+               DeltaCodec::MakeDelta(schema_, new_view, cols, ncols, arena),
+               arena);
+  w.guard.Release();
+
+  // Key-changing updates: add the new keys (synchronous). The old keys stay
+  // until GC reclaims this version's UNDO record (OnUndoReclaimed).
+  OpContext sync;
+  sync.InitSyncViewOf(*ctx);
+  PHOEBE_RETURN_IF_ERROR(WalkChangedKeys(
+      old_view, new_view, cols, ncols, arena,
+      [&](IndexDef& idx, Slice, Slice new_key) {
+        return IndexInsertEntry(&sync, idx, new_key, rid);
+      }));
+  txn->rows_written += 1;
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -579,112 +604,45 @@ Status Table::UpdateApply(OpContext* ctx, Transaction* txn, RowId rid,
 // ---------------------------------------------------------------------------
 
 Status Table::Delete(OpContext* ctx, Transaction* txn, RowId rid) {
-
-  if (deps_->options->baseline_global_lock_table) {
-    uint64_t lock_key = GlobalLockTable::Key(id_, rid);
-    for (;;) {
-      Status st = deps_->lock_table->AcquireExclusive(lock_key, txn->xid(),
-                                                      /*blocking=*/false);
-      if (st.ok()) {
-        (*deps_->held_locks)[txn->slot_id()].push_back(lock_key);
-        txn->waiting_on = 0;
-        break;
-      }
-      Status wait = HandleWriteBlock(ctx, txn, st);
-      if (wait.ok()) continue;  // synchronous retry
-      return wait;              // kBlocked (yield) or kAborted (timeout)
-    }
-  }
-
-  for (;;) {
-    LeafGuard g;
-    PHOEBE_RETURN_IF_ERROR(
-        tree_->FixLeaf(ctx, BTree::TableKey(rid), LatchMode::kExclusive, &g));
-    TableLeaf leaf(g.page(), &schema_, &layout_);
-    uint16_t slot;
-    if (!leaf.InRange(rid) || !leaf.IsLive(slot = leaf.SlotOf(rid))) {
-      g.Release();
-      if (frozen_ != nullptr && rid <= frozen_->max_frozen_row_id()) {
-        return DeleteFrozen(ctx, txn, rid);
-      }
-      return Status::NotFound();
-    }
-    BufferFrame* frame = g.frame();
-    bool created = TwinTable::Of(frame) == nullptr;
-    TwinTable* twin = TwinTable::GetOrCreate(frame, leaf.capacity());
-    if (created) deps_->txn_mgr->RegisterTwin(id_, frame);
-    auto& entry = twin->entry(slot);
-
-    {
-      ComponentScope prof(Component::kLocking);
-      Status conflict = CheckWriteConflict(txn->xid(), txn->snapshot(),
-                                           txn->isolation(), &entry, id_, rid);
-      if (conflict.IsBlocked()) {
-        g.Release();
-        Status wait = HandleWriteBlock(ctx, txn, conflict);
-        if (wait.ok()) continue;  // synchronous retry
-        return wait;              // kBlocked (yield) or kAborted (deadlock)
-      }
-      if (!conflict.ok()) return conflict;
-      txn->waiting_on = 0;
-    }
-    if (leaf.IsDeleted(slot)) return Status::NotFound();
-
-    ComponentScope prof(Component::kMvcc);
-    UndoRecord* prev = entry.head.load(std::memory_order_acquire);
-    uint64_t prev_ets = 0;
-    if (prev != nullptr && prev->IsLive(nullptr) && prev->rid == rid) {
-      prev_ets = prev->ets.load(std::memory_order_acquire);
-    }
-    UndoRecord* undo = deps_->txn_mgr->slot(txn->slot_id())
-                           .arena.Alloc(UndoKind::kDelete, id_, rid, Slice());
-    undo->sts.store(prev_ets, std::memory_order_relaxed);
-    undo->ets.store(txn->xid(), std::memory_order_relaxed);
-    undo->next.store(prev, std::memory_order_relaxed);
-    txn->PushUndo(undo);
-    twin->NoteWriter(txn->xid());
-    entry.head.store(undo, std::memory_order_release);
-
-    PHOEBE_RETURN_IF_ERROR(leaf.SetDeleted(slot, true));
-    frame->dirty.store(true, std::memory_order_release);
-    uint64_t gsn = deps_->wal->OnPageWrite(txn, frame);
-    deps_->wal->LogData(txn, WalRecordType::kDelete, gsn,
-                        WalRecordCodec::DataPayloadTo(id_, rid, Slice(),
-                                                      ScratchOf(ctx, txn)));
-    if (frozen_ != nullptr && rid <= frozen_->max_frozen_row_id()) {
-      // Shadow tombstone: a raced freeze may hold a stale copy of this row;
-      // once GC purges the tree slot, the fallback must not resurrect it.
-      frozen_->MarkDeleted(rid);
-    }
+  PHOEBE_RETURN_IF_ERROR(LockRowBaseline(ctx, txn, rid));
+  RowLatch w;
+  Status st = LatchRowForWrite(ctx, txn, rid, &w);
+  if (st.IsNotFound() && frozen_ != nullptr &&
+      rid <= frozen_->max_frozen_row_id()) {
+    std::string row;
+    PHOEBE_RETURN_IF_ERROR(DeleteFrozen(ctx, txn, rid, &row));
     txn->rows_written += 1;
     return Status::OK();
   }
-}
-
-/// Out-of-place delete of a row living only in the frozen tier: tombstone +
-/// WAL (so recovery re-marks it) + immediate index removal (Section 5.2).
-Status Table::DeleteFrozen(OpContext* ctx, Transaction* txn, RowId rid) {
-  std::string row;
-  Status st = frozen_->ReadRow(rid, &row);
-  if (st.IsNotFound()) return st;
   PHOEBE_RETURN_IF_ERROR(st);
-  frozen_->MarkDeleted(rid);
-  Arena* arena = ScratchOf(ctx, txn);
-  uint64_t gsn = deps_->wal->WriterFor(txn->slot_id()).LoadGsn() + 1;
-  deps_->wal->WriterFor(txn->slot_id()).RaiseGsn(gsn);
-  deps_->wal->LogData(txn, WalRecordType::kDelete, gsn,
-                      WalRecordCodec::DataPayloadTo(id_, rid, Slice(), arena));
-  OpContext sync;
-  sync.InitSyncViewOf(*ctx);
-  RowView view(&schema_, row.data());
-  for (auto& idx : indexes_) {
-    Result<Slice> key =
-        EncodeKeyFromRowTo(schema_, idx->key_columns, view, arena);
-    if (!key.ok()) return key.status();
-    PHOEBE_RETURN_IF_ERROR(IndexRemoveEntry(&sync, *idx, key.value(), rid));
+  TableLeaf leaf(w.guard.page(), &schema_, &layout_);
+  if (leaf.IsDeleted(w.slot)) return Status::NotFound();
+
+  ComponentScope prof(Component::kMvcc);
+  LinkVersion(txn, w.entry, UndoKind::kDelete, rid, Slice());
+  PHOEBE_RETURN_IF_ERROR(leaf.SetDeleted(w.slot, true));
+  LogRowChange(txn, w.guard.frame(), WalRecordType::kDelete, rid, Slice(),
+               ScratchOf(ctx, txn));
+  if (frozen_ != nullptr && rid <= frozen_->max_frozen_row_id()) {
+    // Shadow tombstone: a raced freeze may hold a stale copy of this row;
+    // once GC purges the tree slot, the fallback must not resurrect it.
+    frozen_->MarkDeleted(rid);
   }
   txn->rows_written += 1;
   return Status::OK();
+}
+
+Status Table::DeleteFrozen(OpContext* ctx, Transaction* txn, RowId rid,
+                           std::string* row) {
+  PHOEBE_RETURN_IF_ERROR(frozen_->ReadRow(rid, row));
+  frozen_->MarkDeleted(rid);
+  Arena* arena = ScratchOf(ctx, txn);
+  LogRowChange(txn, /*frame=*/nullptr, WalRecordType::kDelete, rid, Slice(),
+               arena);
+  OpContext sync;
+  sync.InitSyncViewOf(*ctx);
+  return WalkIndexKeys(&sync, RowView(&schema_, row->data()), rid,
+                       /*add=*/false, arena);
 }
 
 // ---------------------------------------------------------------------------
@@ -991,13 +949,8 @@ Status Table::RollbackRecord(OpContext* ctx, Transaction* txn,
 
   if (rec->kind == UndoKind::kInsert) {
     // Remove the index entries added by the aborted insert.
-    for (auto& idx : indexes_) {
-      Result<Slice> key =
-          EncodeKeyFromRowTo(schema_, idx->key_columns, cur_view, arena);
-      if (!key.ok()) return key.status();
-      PHOEBE_RETURN_IF_ERROR(
-          IndexRemoveEntry(&sync, *idx, key.value(), rec->rid));
-    }
+    PHOEBE_RETURN_IF_ERROR(
+        WalkIndexKeys(&sync, cur_view, rec->rid, /*add=*/false, arena));
   }
   return index_st;
 }
@@ -1038,19 +991,17 @@ Status Table::RollbackIndexEntries(OpContext* ctx, const UndoRecord* rec,
     return false;
   };
 
-  RowView restored_view(&schema_, restored.data());
-  for (auto& idx : indexes_) {
-    Result<Slice> key = EncodeKeyFromRowTo(schema_, idx->key_columns, cur,
-                                           arena);
-    if (!key.ok()) return key.status();
-    Result<Slice> kept = EncodeKeyFromRowTo(schema_, idx->key_columns,
-                                            restored_view, arena);
-    if (!kept.ok()) return kept.status();
-    if (key.value() == kept.value()) continue;
-    if (older_version_has(*idx, key.value())) continue;
-    PHOEBE_RETURN_IF_ERROR(IndexRemoveEntry(ctx, *idx, key.value(), rec->rid));
-  }
-  return Status::OK();
+  // The record's delta holds exactly the columns the update touched.
+  Result<std::vector<uint32_t>> touched =
+      DeltaCodec::TouchedColumns(schema_, rec->delta());
+  if (!touched.ok()) return touched.status();
+  return WalkChangedKeys(
+      cur, RowView(&schema_, restored.data()), touched.value().data(),
+      touched.value().size(), arena,
+      [&](IndexDef& idx, Slice cur_key, Slice) {
+        if (older_version_has(idx, cur_key)) return Status::OK();
+        return IndexRemoveEntry(ctx, idx, cur_key, rec->rid);
+      });
 }
 
 void Table::OnUndoReclaimed(OpContext* ctx, const UndoRecord& rec) {
@@ -1073,14 +1024,8 @@ void Table::OnUndoReclaimed(OpContext* ctx, const UndoRecord& rec) {
     if (!leaf.EraseRow(slot).ok()) return;
     g.frame()->dirty.store(true, std::memory_order_release);
     g.Release();
-    RowView view(&schema_, row.value().data());
-    for (auto& idx : indexes_) {
-      Result<Slice> key =
-          EncodeKeyFromRowTo(schema_, idx->key_columns, view, arena);
-      if (key.ok()) {
-        (void)IndexRemoveEntry(&sync, *idx, key.value(), rec.rid);
-      }
-    }
+    (void)WalkIndexKeys(&sync, RowView(&schema_, row.value().data()), rec.rid,
+                        /*add=*/false, arena);
   } else if (rec.kind == UndoKind::kUpdate) {
     // Stale index entries after key-changing updates: the before values of
     // key columns live in the delta.
@@ -1110,19 +1055,13 @@ void Table::OnUndoReclaimed(OpContext* ctx, const UndoRecord& rec) {
     Result<Slice> before =
         DeltaCodec::ApplyDelta(schema_, cur, rec.delta(), arena);
     if (!before.ok()) return;
-    RowView cur_view(&schema_, cur.data());
-    RowView before_view(&schema_, before.value().data());
-    for (auto& idx : indexes_) {
-      if (!KeyTouched(*idx, cols.data(), cols.size())) continue;
-      Result<Slice> old_key =
-          EncodeKeyFromRowTo(schema_, idx->key_columns, before_view, arena);
-      Result<Slice> cur_key =
-          EncodeKeyFromRowTo(schema_, idx->key_columns, cur_view, arena);
-      if (old_key.ok() && cur_key.ok() &&
-          old_key.value() != cur_key.value()) {
-        (void)IndexRemoveEntry(&sync, *idx, old_key.value(), rec.rid);
-      }
-    }
+    (void)WalkChangedKeys(
+        RowView(&schema_, before.value().data()), RowView(&schema_, cur.data()),
+        cols.data(), cols.size(), arena,
+        [&](IndexDef& idx, Slice old_key, Slice) {
+          (void)IndexRemoveEntry(&sync, idx, old_key, rec.rid);
+          return Status::OK();
+        });
   }
 }
 
@@ -1200,27 +1139,11 @@ Status Table::WarmRow(OpContext* ctx, Transaction* txn, RowId frozen_rid,
       return Status::OK();
     }
   }
+  // Tombstone the frozen copy (logged: the tree copy of the row is
+  // resurrected by replay and must end up deleted) and replace its index
+  // entries: old rid out here, new rid in inside Insert.
   std::string row;
-  Status st = frozen_->ReadRow(frozen_rid, &row);
-  if (!st.ok()) return st;
-  frozen_->MarkDeleted(frozen_rid);
-  // Log the tombstone so recovery re-marks it (the tree copy of the row is
-  // resurrected by replay and must end up deleted).
-  Arena* arena = ScratchOf(ctx, txn);
-  WalWriter& w = deps_->wal->WriterFor(txn->slot_id());
-  w.RaiseGsn(w.LoadGsn() + 1);
-  deps_->wal->LogData(
-      txn, WalRecordType::kDelete, w.LoadGsn(),
-      WalRecordCodec::DataPayloadTo(id_, frozen_rid, Slice(), arena));
-  // Replace index entries: old rid out, new rid in (done inside Insert).
-  RowView view(&schema_, row.data());
-  for (auto& idx : indexes_) {
-    Result<Slice> key =
-        EncodeKeyFromRowTo(schema_, idx->key_columns, view, arena);
-    if (!key.ok()) return key.status();
-    PHOEBE_RETURN_IF_ERROR(IndexRemoveEntry(ctx, *idx, key.value(),
-                                            frozen_rid));
-  }
+  PHOEBE_RETURN_IF_ERROR(DeleteFrozen(ctx, txn, frozen_rid, &row));
   RowId rid = 0;
   PHOEBE_RETURN_IF_ERROR(Insert(ctx, txn, row, &rid));
   *new_rid = rid;
@@ -1326,21 +1249,14 @@ Status Table::ReplayUpdate(OpContext* ctx, RowId rid, Slice after_delta) {
   Result<std::vector<uint32_t>> touched =
       DeltaCodec::TouchedColumns(schema_, after_delta);
   if (!touched.ok()) return touched.status();
-  const std::vector<uint32_t>& cols = touched.value();
-  for (auto& idx : indexes_) {
-    if (!KeyTouched(*idx, cols.data(), cols.size())) continue;
-    Result<Slice> old_key =
-        EncodeKeyFromRowTo(schema_, idx->key_columns, old_view, arena);
-    Result<Slice> new_key =
-        EncodeKeyFromRowTo(schema_, idx->key_columns, new_view, arena);
-    if (!old_key.ok() || !new_key.ok()) continue;
-    if (old_key.value() == new_key.value()) continue;
-    (void)IndexRemoveEntry(ctx, *idx, old_key.value(), rid);
-    std::string entry_key = IndexEntryKey(*idx, new_key.value(), rid);
-    Status st = idx->tree->IndexInsert(ctx, entry_key, rid);
-    if (!st.ok() && !st.IsKeyExists()) return st;
-  }
-  return Status::OK();
+  return WalkChangedKeys(
+      old_view, new_view, touched.value().data(), touched.value().size(),
+      arena, [&](IndexDef& idx, Slice old_key, Slice new_key) {
+        (void)IndexRemoveEntry(ctx, idx, old_key, rid);
+        Status st =
+            idx.tree->IndexInsert(ctx, IndexEntryKey(idx, new_key, rid), rid);
+        return st.IsKeyExists() ? Status::OK() : st;
+      });
 }
 
 Status Table::ReplayDelete(OpContext* ctx, RowId rid) {
@@ -1358,14 +1274,8 @@ Status Table::ReplayDelete(OpContext* ctx, RowId rid) {
     // In forward operation the index entry outlives the delete until GC
     // purges it; replay has no GC, so drop it now — otherwise a replayed
     // re-insert of the same unique key can never claim the mapping.
-    RowView view(&schema_, row.value().data());
-    for (auto& idx : indexes_) {
-      Result<Slice> key =
-          EncodeKeyFromRowTo(schema_, idx->key_columns, view, ctx->arena);
-      if (!key.ok()) return key.status();
-      PHOEBE_RETURN_IF_ERROR(IndexRemoveEntry(ctx, *idx, key.value(), rid));
-    }
-    return Status::OK();
+    return WalkIndexKeys(ctx, RowView(&schema_, row.value().data()), rid,
+                         /*add=*/false, ctx->arena);
   }
   g.Release();
   // Row not in the tree: it was frozen before the checkpoint; tombstone it.

@@ -210,9 +210,32 @@ class Table {
   Status DropIndexAt(OpContext* ctx, size_t index_no);
 
  private:
+  /// --- The row-write protocol (DESIGN.md 4b.12), one helper per step ------
+
+  /// A row X-latched for a write: its leaf, slot and twin-table entry.
+  struct RowLatch {
+    LeafGuard guard;
+    uint16_t slot = 0;
+    TwinTable::Entry* entry = nullptr;
+  };
+
   /// Applies the table-side of an insert (leaf fix + twin + undo + PAX +
   /// WAL) idempotently for `txn`.
   Status InsertBase(OpContext* ctx, Transaction* txn, RowId rid, Slice row);
+
+  /// Baseline mode only: takes the row's GlobalLockTable entry.
+  Status LockRowBaseline(OpContext* ctx, Transaction* txn, RowId rid);
+
+  /// X-latches the row's leaf, attaches its twin entry and passes the
+  /// write-conflict check. NotFound, latch released, when the row is not
+  /// in the tree (the caller's frozen-tier fallback).
+  Status LatchRowForWrite(OpContext* ctx, Transaction* txn, RowId rid,
+                          RowLatch* out);
+
+  /// Twin-table entry of `slot` on an X-latched leaf frame; the page's
+  /// first write creates and registers the twin table.
+  TwinTable::Entry* AttachTwin(BufferFrame* frame, uint16_t capacity,
+                               uint16_t slot);
 
   /// Write-conflict wait with deadlock-timeout accounting. Returns OK when
   /// the synchronous caller should retry, kBlocked to make the coroutine
@@ -220,14 +243,40 @@ class Table {
   Status HandleWriteBlock(OpContext* ctx, Transaction* txn,
                           const Status& conflict);
 
+  /// Links an UNDO record holding the before image `delta` at the head of
+  /// `entry`'s chain: sts from the live previous head (0 for an insert),
+  /// ets = the writer's XID.
+  void LinkVersion(Transaction* txn, TwinTable::Entry* entry, UndoKind kind,
+                   RowId rid, Slice delta);
+
+  /// Marks `frame` dirty, stamps its GSN and logs the change. A frozen-tier
+  /// change passes no frame and advances the writer's GSN instead.
+  void LogRowChange(Transaction* txn, BufferFrame* frame, WalRecordType type,
+                    RowId rid, Slice payload, Arena* arena);
+
+  /// Adds (`add`) or removes every index key of `row`. Adding stops at the
+  /// first error; removing tries every index and returns the first error.
+  Status WalkIndexKeys(OpContext* ctx, RowView row, RowId rid, bool add,
+                       Arena* arena);
+
+  /// Calls fn(index, from_key, to_key) for each index keyed on one of
+  /// `cols` whose key differs between `from` and `to`. Stops at the first
+  /// error.
+  Status WalkChangedKeys(RowView from, RowView to, const uint32_t* cols,
+                         size_t ncols, Arena* arena,
+                         FunctionRef<Status(IndexDef&, Slice, Slice)> fn);
+
   /// Secondary-index entry insert/remove with own-entry idempotence.
   Status IndexInsertEntry(OpContext* ctx, IndexDef& idx, Slice user_key,
                           RowId rid);
   Status IndexRemoveEntry(OpContext* ctx, IndexDef& idx, Slice user_key,
                           RowId rid);
 
-  /// Out-of-place delete of a row living only in the frozen tier.
-  Status DeleteFrozen(OpContext* ctx, Transaction* txn, RowId rid);
+  /// Out-of-place delete of a row living only in the frozen tier (Section
+  /// 5.2): a logged tombstone plus immediate index removal. `*row`
+  /// receives the row.
+  Status DeleteFrozen(OpContext* ctx, Transaction* txn, RowId rid,
+                      std::string* row);
 
   /// Warm a single frozen row into hot storage (used by frozen updates /
   /// WarmPass). Returns the new row id.

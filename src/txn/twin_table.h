@@ -14,35 +14,18 @@ namespace phoebe {
 /// Page-level mapping table linking tuples to their UNDO version chains
 /// (Section 6.2). Created lazily on the first modification of a page;
 /// attached to the page's BufferFrame (which pins the frame in memory while
-/// the twin table lives). Each entry holds the version-chain head and the
-/// tuple-lock metadata the paper stores in the twin table (Section 7.2).
+/// the twin table lives). Each entry holds the version-chain head; the
+/// tuple lock is the head's ets, an active writer's XID (Section 7.2).
 class TwinTable {
  public:
   struct Entry {
     std::atomic<UndoRecord*> head{nullptr};
-    /// XID of the transaction currently holding this tuple's write lock
-    /// (0 = unlocked). Informational: conflict resolution goes through the
-    /// version-chain ets; this supports lock introspection and stats.
-    std::atomic<uint64_t> locker{0};
   };
 
   explicit TwinTable(uint16_t capacity) : entries_(capacity) {}
 
   Entry& entry(uint16_t slot) { return entries_[slot]; }
   uint16_t capacity() const { return static_cast<uint16_t>(entries_.size()); }
-
-  /// Largest XID that has modified any entry (drives twin-table GC:
-  /// reclaimable once <= max frozen XID, Section 7.3).
-  void NoteWriter(Xid xid) {
-    uint64_t cur = max_writer_.load(std::memory_order_relaxed);
-    while (XidStartTs(xid) > cur &&
-           !max_writer_.compare_exchange_weak(cur, XidStartTs(xid),
-                                              std::memory_order_relaxed)) {
-    }
-  }
-  Timestamp max_writer_start_ts() const {
-    return max_writer_.load(std::memory_order_relaxed);
-  }
 
   /// True when every entry's chain head is null or reclaimed — precondition
   /// for freeing the twin table.
@@ -82,7 +65,6 @@ class TwinTable {
 
  private:
   std::vector<Entry> entries_;
-  std::atomic<uint64_t> max_writer_{0};
 };
 
 }  // namespace phoebe

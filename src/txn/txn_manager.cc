@@ -92,6 +92,7 @@ Transaction* TxnManager::BeginOnSlot(uint32_t slot_id, IsolationLevel iso) {
   // lower bound + pending marker BEFORE allocating the real timestamp, so a
   // concurrent watermark scan can never overshoot us.
   s.active_start_ts.store(clock_->Current() + 1, std::memory_order_relaxed);
+  s.commit_ts.store(0, std::memory_order_release);
   s.active_xid.store(kPendingXid, std::memory_order_release);
 
   Timestamp ts = clock_->Next();
@@ -128,7 +129,13 @@ void TxnManager::RefreshStatementSnapshot(Transaction* txn) {
 
 Timestamp TxnManager::PrepareCommit(Transaction* txn) {
   ComponentScope prof(Component::kMvcc);
+  // The marker is ordered before the clock increment, so any snapshot at or
+  // above cts (taken from the clock) also sees the marker: a reader never
+  // mistakes this transaction for one that has not begun to commit.
+  std::atomic<uint64_t>& published = slots_[txn->slot_id_]->commit_ts;
+  published.store(kCommitPending, std::memory_order_release);
   Timestamp cts = clock_->Next();
+  published.store(cts, std::memory_order_release);
   // Single scan over the transaction's UNDO list (Section 6.2).
   for (UndoRecord* rec = txn->undo_head_; rec != nullptr;
        rec = rec->txn_next) {
@@ -140,7 +147,6 @@ Timestamp TxnManager::PrepareCommit(Transaction* txn) {
 
 void TxnManager::FinishTransaction(Transaction* txn, bool committed) {
   SlotState& s = *slots_[txn->slot_id_];
-  Xid xid = txn->xid_;
   txn->state_ = committed ? TxnState::kCommitted : TxnState::kAborted;
   {
     std::lock_guard<std::mutex> lk(s.mu);
@@ -148,7 +154,6 @@ void TxnManager::FinishTransaction(Transaction* txn, bool committed) {
     s.active_start_ts.store(0, std::memory_order_relaxed);
   }
   s.cv.notify_all();
-  if (on_finish_) on_finish_(xid);
 }
 
 bool TxnManager::IsXidActive(Xid xid) const {
@@ -156,18 +161,6 @@ bool TxnManager::IsXidActive(Xid xid) const {
     if (s->active_xid.load(std::memory_order_acquire) == xid) return true;
   }
   return false;
-}
-
-void TxnManager::WaitForXid(Xid xid) {
-  for (auto& s : slots_) {
-    if (s->active_xid.load(std::memory_order_acquire) == xid) {
-      std::unique_lock<std::mutex> lk(s->mu);
-      s->cv.wait(lk, [&] {
-        return s->active_xid.load(std::memory_order_acquire) != xid;
-      });
-      return;
-    }
-  }
 }
 
 void TxnManager::WaitForXidFor(Xid xid, uint64_t micros) {
@@ -180,6 +173,27 @@ void TxnManager::WaitForXidFor(Xid xid, uint64_t micros) {
       return;
     }
   }
+}
+
+std::optional<Timestamp> TxnManager::CommitTsOf(Xid xid) const {
+  for (const auto& s : slots_) {
+    if (s->active_xid.load(std::memory_order_acquire) != xid) continue;
+    uint64_t cts;
+    int spins = 0;
+    while ((cts = s->commit_ts.load(std::memory_order_acquire)) ==
+           kCommitPending) {
+      if (++spins >= 1024) {
+        std::this_thread::yield();
+        spins = 0;
+      }
+    }
+    // The slot may have finished `xid` and begun another transaction while
+    // we read; then `cts` may be that one's. Finishing stamps (or rolls
+    // back) every record first, so the caller re-reads them instead.
+    if (s->active_xid.load(std::memory_order_acquire) != xid) break;
+    return cts;
+  }
+  return std::nullopt;
 }
 
 Timestamp TxnManager::MinActiveStartTs() const {

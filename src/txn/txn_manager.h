@@ -7,6 +7,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "buffer/buffer_frame.h"
@@ -24,6 +25,10 @@ namespace phoebe {
 /// (lets the GC watermark scan account for in-flight begins).
 inline constexpr uint64_t kPendingXid = kXidTagBit;
 
+/// Sentinel a committing slot publishes in SlotState::commit_ts before it
+/// allocates its commit timestamp (see PrepareCommit).
+inline constexpr uint64_t kCommitPending = kXidTagBit;
+
 /// Transaction manager: slot registry, the transaction-ID lock protocol
 /// (Section 7.2), watermark computation and UNDO/twin-table GC (Section 7.3).
 ///
@@ -39,6 +44,9 @@ class TxnManager {
     std::atomic<uint64_t> active_start_ts{0};
     /// Snapshot currently in use (refreshed per statement under RC).
     std::atomic<uint64_t> active_snapshot{0};
+    /// The active transaction's commit timestamp: 0 until it commits,
+    /// kCommitPending while PrepareCommit allocates it. Reset at Begin.
+    std::atomic<uint64_t> commit_ts{0};
     /// start_ts of the newest transaction whose UNDO was fully reclaimed.
     std::atomic<uint64_t> last_reclaimed_start_ts{0};
 
@@ -107,6 +115,8 @@ class TxnManager {
   /// Allocates the commit timestamp and updates every UNDO record's ets in
   /// one scan of the transaction list (Section 6.2). Does NOT publish the
   /// finish; call FinishTransaction after the WAL commit wait.
+  /// Publishes kCommitPending, then the timestamp, in the slot's commit_ts
+  /// before stamping any record (see CommitTsOf).
   Timestamp PrepareCommit(Transaction* txn);
 
   /// Marks the transaction finished: clears the slot's XID (releasing the
@@ -118,19 +128,17 @@ class TxnManager {
   /// True while `xid` belongs to an active (unfinished) transaction.
   bool IsXidActive(Xid xid) const;
 
-  /// Blocks the calling OS thread until `xid` finishes (synchronous mode;
-  /// coroutine mode yields with WaitKind::kXidLock instead and the scheduler
-  /// uses the on_finish hook below).
-  void WaitForXid(Xid xid);
-
-  /// Bounded wait: returns once `xid` finished or `micros` elapsed.
+  /// Blocks the calling OS thread until `xid` finished or `micros` elapsed
+  /// (synchronous mode; coroutine mode yields with WaitKind::kXidLock
+  /// instead).
   void WaitForXidFor(Xid xid, uint64_t micros);
 
-  /// Invoked (after the slot is cleared) with every finished XID; the
-  /// runtime's scheduler hooks this to wake parked coroutines.
-  void set_on_finish(std::function<void(Xid)> fn) {
-    on_finish_ = std::move(fn);
-  }
+  /// For a reader that met an unstamped UNDO record of `xid`: its commit
+  /// timestamp once taken; 0 while it has not begun to commit (its
+  /// timestamp will exceed every snapshot taken so far); nullopt once it
+  /// left its slot (its records then carry their final ets or are rolled
+  /// back: re-read them). Spins through the kCommitPending window.
+  std::optional<Timestamp> CommitTsOf(Xid xid) const;
 
   /// --- Watermarks & GC (Section 7.3) ----------------------------------------
 
@@ -179,7 +187,6 @@ class TxnManager {
   mutable std::mutex gate_mu_;
   std::condition_variable gate_cv_;
   std::atomic<bool> gate_closed_{false};
-  std::function<void(Xid)> on_finish_;
   ReclaimHook reclaim_hook_;
 
   /// Twin-table registry, sharded by RelationId hash so concurrent writers

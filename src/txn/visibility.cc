@@ -1,6 +1,7 @@
 #include "txn/visibility.h"
 
 #include "common/profiler.h"
+#include "txn/txn_manager.h"
 
 namespace phoebe {
 
@@ -45,7 +46,7 @@ Status RetrieveVisibleVersion(const Schema& schema, Xid xid,
                               Timestamp snapshot, Slice base_row,
                               bool base_deleted, TwinTable::Entry* entry,
                               RelationId relation, RowId rid, Arena* arena,
-                              VisibleVersion* out) {
+                              const TxnManager* txns, VisibleVersion* out) {
   ComponentScope prof(Component::kMvcc);
   // Lines 1-2: no twin table -> the tuple itself is visible. The row slice
   // borrows the caller's base_row bytes — no copy (the common OLTP case).
@@ -69,6 +70,13 @@ Status RetrieveVisibleVersion(const Schema& schema, Xid xid,
       if (hc.ets <= snapshot) return base_visible();
     } else if (hc.ets == xid) {
       return base_visible();
+    } else if (txns != nullptr && XidStartTs(hc.ets) < snapshot) {
+      // Another transaction's write, possibly committed below our snapshot
+      // but not stamped yet. (Its commit ts exceeds its start ts, so a
+      // snapshot at or below that start cannot see it.)
+      std::optional<Timestamp> cts = txns->CommitTsOf(hc.ets);
+      if (!cts.has_value()) continue;  // finished meanwhile: re-read the head
+      if (*cts != 0 && *cts <= snapshot) return base_visible();
     }
 
     // Lines 5-9: walk the chain assembling before images in the arena.

@@ -12,6 +12,8 @@
 
 namespace phoebe {
 
+class TxnManager;
+
 /// Result of a visibility check: the tuple version visible to a snapshot.
 /// `row` is a borrowed slice — when the base tuple was directly visible it
 /// aliases the caller's `base_row` bytes (assembled == false, no copy made);
@@ -31,7 +33,10 @@ struct VisibleVersion {
 ///   - `entry`: the tuple's twin-table entry, or nullptr when the page has
 ///     no twin table (the tuple is immediately visible, line 2);
 ///   - `xid` / `snapshot`: the reading transaction's identity and snapshot;
-///   - `arena`: scratch for chain-walk delta copies and version assembly.
+///   - `arena`: scratch for chain-walk delta copies and version assembly;
+///   - `txns`: resolves a head still carrying another writer's XID through
+///     TxnManager::CommitTsOf, so a snapshot sees all of a commit or none
+///     of it (nullptr only in chain-walk unit tests).
 ///
 /// The version chain is walked newest-to-oldest, assembling before-image
 /// deltas until the first record with sts <= snapshot (lines 5-9). Records
@@ -41,7 +46,7 @@ Status RetrieveVisibleVersion(const Schema& schema, Xid xid,
                               Timestamp snapshot, Slice base_row,
                               bool base_deleted, TwinTable::Entry* entry,
                               RelationId relation, RowId rid, Arena* arena,
-                              VisibleVersion* out);
+                              const TxnManager* txns, VisibleVersion* out);
 
 /// Write-conflict decision for updates/deletes (Section 6.2 end):
 ///   kOk       -> proceed (no concurrent writer; latest version committed

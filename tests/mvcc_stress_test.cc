@@ -130,6 +130,99 @@ TEST_P(MvccStressTest, ReadersNeverSeeTornInvariant) {
   ASSERT_OK(db->Close());
 }
 
+// Atomic commit visibility: each writer sets its two rows to one value in
+// one transaction, and a reader reads both under one snapshot (no
+// StatementBegin between the reads, so RC keeps its snapshot too). A commit
+// is visible to a snapshot in full or not at all, so the two values always
+// match — also while the writer is between taking its commit timestamp and
+// stamping its UNDO records.
+TEST_P(MvccStressTest, SnapshotSeesAllOrNoneOfACommit) {
+  TestDir dir("mvcc_atomic");
+  DatabaseOptions opts;
+  opts.path = dir.path();
+  opts.workers = 1;
+  opts.slots_per_worker = 2;
+  opts.buffer_bytes = 32ull << 20;
+  opts.aux_slots = 8;
+  opts.wal_sync = false;
+  auto db_r = Database::Open(opts);
+  ASSERT_OK_R(db_r);
+  Database* db = db_r.value().get();
+
+  Schema schema({{"k", ColumnType::kInt64, 0, false},
+                 {"v", ColumnType::kInt64, 0, false}});
+  Table* table = db->CreateTable("pairs", schema).value();
+
+  constexpr int kWriters = 2;
+  constexpr int kReaders = 4;
+  std::vector<RowId> rids;  // writer w owns rids[2w] and rids[2w + 1]
+  {
+    OpContext ctx;
+    ctx.synchronous = true;
+    Transaction* txn = db->Begin(db->aux_slot(0));
+    for (int i = 0; i < 2 * kWriters; ++i) {
+      RowBuilder b(&table->schema());
+      b.SetInt64(0, i).SetInt64(1, 0);
+      RowId rid = 0;
+      ASSERT_OK(table->Insert(&ctx, txn, b.Encode().value(), &rid));
+      rids.push_back(rid);
+    }
+    ASSERT_OK(db->Commit(&ctx, txn));
+  }
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> pairs{0};
+  std::atomic<int> torn{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      OpContext ctx;
+      ctx.synchronous = true;
+      for (int64_t next = 1; !stop.load(std::memory_order_relaxed); ++next) {
+        Transaction* txn = db->Begin(db->aux_slot(w));
+        Status st = table->Update(&ctx, txn, rids[2 * w],
+                                  {{1, Value::Int64(next)}});
+        if (st.ok()) {
+          st = table->Update(&ctx, txn, rids[2 * w + 1],
+                             {{1, Value::Int64(next)}});
+        }
+        if (st.ok()) st = db->Commit(&ctx, txn);
+        if (!st.ok()) (void)db->Abort(&ctx, txn);
+      }
+    });
+  }
+  IsolationLevel iso = GetParam();
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      OpContext ctx;
+      ctx.synchronous = true;
+      Random rng(300 + r);
+      while (!stop.load(std::memory_order_relaxed)) {
+        Transaction* txn = db->Begin(db->aux_slot(kWriters + r), iso);
+        int w = static_cast<int>(rng.Uniform(kWriters));
+        Slice first, second;
+        if (table->GetRef(&ctx, txn, rids[2 * w], &first).ok() &&
+            table->GetRef(&ctx, txn, rids[2 * w + 1], &second).ok()) {
+          if (RowView(&table->schema(), first.data()).GetInt64(1) !=
+              RowView(&table->schema(), second.data()).GetInt64(1)) {
+            torn.fetch_add(1);
+          }
+          pairs.fetch_add(1);
+        }
+        (void)db->Commit(&ctx, txn);
+      }
+    });
+  }
+
+  std::this_thread::sleep_for(std::chrono::seconds(2));
+  stop = true;
+  for (auto& t : threads) t.join();
+
+  EXPECT_EQ(torn.load(), 0) << "of " << pairs.load() << " pairs";
+  EXPECT_GT(pairs.load(), 100u);
+  ASSERT_OK(db->Close());
+}
+
 INSTANTIATE_TEST_SUITE_P(Isolation, MvccStressTest,
                          ::testing::Values(IsolationLevel::kReadCommitted,
                                            IsolationLevel::kRepeatableRead));

@@ -153,7 +153,8 @@ class PaperExampleTest : public ::testing::Test {
     Status st = RetrieveVisibleVersion(schema_, xid, snapshot, base_row,
                                        false,
                                        &twin_.entry(static_cast<uint16_t>(rid)),
-                                       1, rid, &scratch_, &vv);
+                                       1, rid, &scratch_, /*txns=*/nullptr,
+                                       &vv);
     EXPECT_TRUE(st.ok()) << st.ToString();
     EXPECT_TRUE(vv.exists);
     return ValueOf(schema_, vv.row);
@@ -197,14 +198,14 @@ TEST_F(PaperExampleTest, NullChainMeansBaseVisible) {
   std::string base = Row(schema_, "z");
   VisibleVersion vv;
   ASSERT_OK(RetrieveVisibleVersion(schema_, xid3_, 1, base, false, &empty, 1,
-                                   9, &scratch_, &vv));
+                                   9, &scratch_, /*txns=*/nullptr, &vv));
   EXPECT_TRUE(vv.exists);
   EXPECT_FALSE(vv.assembled);  // borrowed, not assembled in the arena
   EXPECT_EQ(vv.row.data(), base.data());
   EXPECT_EQ(ValueOf(schema_, vv.row), "z");
   // And with no twin table at all (line 1-2).
   ASSERT_OK(RetrieveVisibleVersion(schema_, xid3_, 1, base, false, nullptr, 1,
-                                   9, &scratch_, &vv));
+                                   9, &scratch_, /*txns=*/nullptr, &vv));
   EXPECT_TRUE(vv.exists);
 }
 
@@ -217,7 +218,8 @@ TEST_F(PaperExampleTest, DeleteAndInsertKinds) {
   std::string base_n = Row(schema_, "n");
   VisibleVersion vv;
   ASSERT_OK(RetrieveVisibleVersion(schema_, xid3_, 5, base_n, false,
-                                   &twin_.entry(5), 1, 5, &scratch_, &vv));
+                                   &twin_.entry(5), 1, 5, &scratch_,
+                                   /*txns=*/nullptr, &vv));
   EXPECT_FALSE(vv.exists);
 
   // Delete record (uncommitted): older reader still sees the row.
@@ -228,7 +230,7 @@ TEST_F(PaperExampleTest, DeleteAndInsertKinds) {
   std::string base_d = Row(schema_, "d");
   ASSERT_OK(RetrieveVisibleVersion(schema_, xid3_, 5, base_d,
                                    /*base_deleted=*/true, &twin_.entry(6), 1,
-                                   6, &scratch_, &vv));
+                                   6, &scratch_, /*txns=*/nullptr, &vv));
   EXPECT_TRUE(vv.exists);
   EXPECT_EQ(ValueOf(schema_, vv.row), "d");
 }
@@ -369,7 +371,7 @@ TEST(TxnManagerTest, WaitForXidWakesOnFinish) {
   Xid xid = t->xid();
   std::atomic<bool> woke{false};
   std::thread waiter([&] {
-    tm.WaitForXid(xid);
+    tm.WaitForXidFor(xid, 60'000'000);  // bound far above the sleep below
     woke = true;
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -378,18 +380,7 @@ TEST(TxnManagerTest, WaitForXidWakesOnFinish) {
   waiter.join();
   EXPECT_TRUE(woke.load());
   // Waiting on a finished xid returns immediately.
-  tm.WaitForXid(xid);
-}
-
-TEST(TxnManagerTest, OnFinishHookFires) {
-  GlobalClock clock;
-  TxnManager tm(2, &clock);
-  Xid finished = 0;
-  tm.set_on_finish([&finished](Xid x) { finished = x; });
-  Transaction* t = tm.Begin(0, IsolationLevel::kReadCommitted);
-  Xid xid = t->xid();
-  tm.FinishTransaction(t, false);
-  EXPECT_EQ(finished, xid);
+  tm.WaitForXidFor(xid, 60'000'000);
 }
 
 }  // namespace
