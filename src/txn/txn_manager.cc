@@ -129,6 +129,11 @@ void TxnManager::RefreshStatementSnapshot(Transaction* txn) {
 
 Timestamp TxnManager::PrepareCommit(Transaction* txn) {
   ComponentScope prof(Component::kMvcc);
+  // A transaction that wrote nothing has no record a reader could meet.
+  if (txn->undo_head_ == nullptr) {
+    txn->state_ = TxnState::kCommitted;
+    return clock_->Next();
+  }
   // The marker is ordered before the clock increment, so any snapshot at or
   // above cts (taken from the clock) also sees the marker: a reader never
   // mistakes this transaction for one that has not begun to commit.

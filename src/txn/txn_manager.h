@@ -115,8 +115,8 @@ class TxnManager {
   /// Allocates the commit timestamp and updates every UNDO record's ets in
   /// one scan of the transaction list (Section 6.2). Does NOT publish the
   /// finish; call FinishTransaction after the WAL commit wait.
-  /// Publishes kCommitPending, then the timestamp, in the slot's commit_ts
-  /// before stamping any record (see CommitTsOf).
+  /// A writer publishes kCommitPending, then the timestamp, in the slot's
+  /// commit_ts before stamping any record (see CommitTsOf).
   Timestamp PrepareCommit(Transaction* txn);
 
   /// Marks the transaction finished: clears the slot's XID (releasing the

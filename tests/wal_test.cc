@@ -368,6 +368,7 @@ TEST_F(WalManagerTest, SharedWriterRoundTrip) {
 TEST_F(WalManagerTest, OversizeRecordIsItsOwnBlock) {
   Open(1, /*rfa=*/true, /*flush_interval_us=*/10'000'000,
        /*buffer_bytes=*/4096);
+  WaitFlusherAsleep();
   WalWriter& w = wal_->WriterFor(0);
   const std::string big(10000, 'B');
   EXPECT_EQ(w.Append(WalRecordType::kInsert, MakeXid(1), 1, "small-1"), 1u);
